@@ -10,7 +10,8 @@ rates combining branching ratios, pump rates and displaced-state overlaps.
 Internally the generator is expressed in units of the vibrational frequency
 (time in 1/omega_vib), which keeps its entries O(1); public inputs stay in
 SI rates.  Basis index: spin * (n_max+1) + n with spins ordered (up, down,
-aux).
+aux).  The generator acts on the row-major vec(rho) and is held as a
+``scipy.sparse`` CSR matrix: of its dim^4 entries only O(dim^3) are nonzero.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import expm_multiply
+import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply, splu
 
 from .lattice import HBAR, KB
 from .franck_condon import fcf_harmonic_matrix
@@ -33,6 +33,10 @@ SPIN_NAMES = ("up", "down", "aux")
 # Branching ratios of the optically excited state into (up, down, aux),
 # from angular-momentum coupling of its spontaneous decay channels.
 DEFAULT_BRANCHING = (7.0 / 15.0, 5.0 / 12.0, 7.0 / 60.0)
+
+# Largest state space (3 (n_max+1)) the dense SVD fallback for a degenerate
+# kernel accepts: its generator is dim^2 x dim^2 and the SVD is O(dim^6).
+SVD_DIM_LIMIT = 120
 
 
 @dataclass(frozen=True)
@@ -87,9 +91,6 @@ class JumpChannel:
     source_spin: int
     target_spin: int
     rates: np.ndarray
-
-    def total_rate_from(self, n_prime: int) -> float:
-        return float(self.rates[:, n_prime].sum())
 
 
 @dataclass
@@ -153,18 +154,22 @@ def decay_rates(params: CoolingParams) -> list[JumpChannel]:
     Repumping out of |down> and |aux> branches into all three spins;
     lattice scattering in |up> is elastic.  The displacement entering M is
     the shift between source and target potentials (eta_x or 0) plus the
-    direction-averaged photon recoil.
+    direction-averaged photon recoil, so at most two distinct kernels are
+    computed.
     """
     n_max = params.n_max
     aux_site = SPIN_UP if params.aux_shifted else SPIN_DOWN
+    kernels: dict[float, np.ndarray] = {}
 
     def site(spin: int) -> int:
         return aux_site if spin == SPIN_AUX else spin
 
     def overlap(src: int, dst: int) -> np.ndarray:
         dx = params.eta_x if site(src) != site(dst) else 0.0
-        return emission_average_overlap_sq(dx, params.eta_k, n_max,
-                                           params.emission_nodes)
+        if dx not in kernels:
+            kernels[dx] = emission_average_overlap_sq(
+                dx, params.eta_k, n_max, params.emission_nodes)
+        return kernels[dx]
 
     channels = []
     pump = {SPIN_DOWN: params.r_down, SPIN_AUX: params.r_aux}
@@ -181,6 +186,27 @@ def decay_rates(params: CoolingParams) -> list[JumpChannel]:
     return channels
 
 
+def _coupling_matrix(params: CoolingParams,
+                     sideband_only: bool = False) -> np.ndarray:
+    """K[n', n] = <n'| T_{eta_x} |n>, the |up,n> -> |down,n'> coupling.
+
+    ``sideband_only`` keeps only the resonant first sideband n' = n - 1.
+    """
+    m = params.levels
+    k = np.real(fcf_harmonic_matrix(complex(params.eta_x, 0.0), params.n_max))
+    if sideband_only:
+        mask = np.zeros_like(k)
+        mask[np.arange(m - 1), np.arange(1, m)] = 1.0       # <n-1|...|n>
+        k = k * mask
+    return k
+
+
+def _bare_energies(levels: int) -> np.ndarray:
+    """Diagonal of H in the (up, down, aux) blocks; aux is uncoupled."""
+    n = np.arange(levels, dtype=float)
+    return np.concatenate([n - 1.0, n, n])
+
+
 def hamiltonian(params: CoolingParams, sideband_only: bool = False) -> np.ndarray:
     """Rotating-frame Hamiltonian in units of hbar*omega_vib.
 
@@ -190,57 +216,70 @@ def hamiltonian(params: CoolingParams, sideband_only: bool = False) -> np.ndarra
     dark-state test).
     """
     m = params.levels
-    n = np.arange(m, dtype=float)
-    h = np.zeros((params.dim, params.dim))
-    h[np.arange(m), np.arange(m)] = n - 1.0                 # up block
-    h[m + np.arange(m), m + np.arange(m)] = n               # down block
-    h[2 * m + np.arange(m), 2 * m + np.arange(m)] = n       # aux block (uncoupled)
-    k = np.real(fcf_harmonic_matrix(complex(params.eta_x, 0.0), params.n_max))
-    if sideband_only:
-        mask = np.zeros_like(k)
-        mask[np.arange(m - 1), np.arange(1, m)] = 1.0       # <n-1|...|n>
-        k = k * mask
+    h = np.diag(_bare_energies(m))
+    k = _coupling_matrix(params, sideband_only)
     g = 0.5 * params.omega_0 / params.omega_vib
     h[m:2 * m, :m] -= g * k          # <down,n'| H |up,n>
     h[:m, m:2 * m] -= g * k.T
     return h
 
 
-def build_liouvillian(params: CoolingParams,
-                      sideband_only: bool = False) -> np.ndarray:
-    """Dense matrix of the generator, acting on vec(rho), in omega_vib units.
+def _generator_terms(params: CoolingParams, sideband_only: bool = False
+                     ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The generator split as L = fixed + omega_0 * coupling.
 
-    drho/dt = -i [H, rho] + sum_j gamma_j (L rho L+ - {L+L, rho}/2) with
-    elementary jump operators L = |dst,n><src,n'|.  Columns sum to zero
-    (trace annihilation) by construction.
+    ``fixed`` holds the bare-energy commutator and the dissipator,
+    ``coupling`` the commutator with the microwave coupling per unit
+    omega_0 (rad/s).  Neither depends on omega_0, so a cooling-map row
+    builds them once for all its cells.
     """
-    dim = params.dim
-    if dim > 120:
-        raise ValueError(f"state space {dim} too large (density matrix "
-                         f"{dim * dim} x {dim * dim})")
-    m = params.levels
-    eye = np.eye(dim)
-    h = hamiltonian(params, sideband_only)
-    lio = -1j * (np.kron(h, eye) - np.kron(eye, h.T)).astype(complex)
-
-    decay_diag = np.zeros(dim)   # accumulated L+L diagonal, omega_vib units
+    m, dim = params.levels, params.dim
+    pop = np.arange(dim) * (dim + 1)     # vec(rho) index of rho[i, i]
+    rows, cols, vals = [], [], []
+    decay = np.zeros(dim)                # L+L diagonal, omega_vib units
     for ch in decay_rates(params):
         g = ch.rates / params.omega_vib
-        src0, dst0 = ch.source_spin * m, ch.target_spin * m
-        for n_ket in range(m):
-            j = src0 + n_ket
-            for n_bra in range(m):
-                rate = g[n_bra, n_ket]
-                if rate == 0.0:
-                    continue
-                i = dst0 + n_bra
-                # L rho L+ term: rho[j, j] feeds rho[i, i]
-                lio[i * dim + i, j * dim + j] += rate
-            decay_diag[j] += g[:, n_ket].sum()
-    # anticommutator term -{L+L, rho}/2, diagonal in this jump basis
-    lio -= 0.5 * (np.kron(np.diag(decay_diag), eye)
-                  + np.kron(eye, np.diag(decay_diag)))
-    return lio
+        n_bra, n_ket = np.nonzero(g)
+        # L rho L+ term: the population of |src,n'> feeds that of |dst,n>
+        rows.append(pop[ch.target_spin * m + n_bra])
+        cols.append(pop[ch.source_spin * m + n_ket])
+        vals.append(g[n_bra, n_ket])
+        decay[ch.source_spin * m:(ch.source_spin + 1) * m] += g.sum(axis=0)
+    # -i [H_0, rho] and the anticommutator -{L+L, rho}/2 are diagonal on
+    # vec(rho): entry (i, j) gets -i (e_i - e_j) - (d_i + d_j) / 2
+    e = _bare_energies(m)
+    diag = (-1j * (e[:, None] - e[None, :])
+            - 0.5 * (decay[:, None] + decay[None, :])).ravel()
+    every = np.arange(dim * dim)
+    fixed = sp.csr_matrix((np.concatenate([diag, *vals]),
+                           (np.concatenate([every, *rows]),
+                            np.concatenate([every, *cols]))),
+                          shape=(dim * dim, dim * dim))
+
+    v = np.zeros((dim, dim))             # H per unit omega_0
+    v[m:2 * m, :m] = -0.5 / params.omega_vib * _coupling_matrix(
+        params, sideband_only)
+    v[:m, m:2 * m] = v[m:2 * m, :m].T
+    v = sp.csr_matrix(v)
+    eye = sp.identity(dim, format="csr")
+    coupling = (-1j * (sp.kron(v, eye) - sp.kron(eye, v.T))).tocsr()
+    return fixed, coupling
+
+
+def build_liouvillian(params: CoolingParams,
+                      sideband_only: bool = False) -> sp.csr_matrix:
+    """Generator acting on the row-major vec(rho), in omega_vib units.
+
+    drho/dt = -i [H, rho] + sum_j gamma_j (L rho L+ - {L+L, rho}/2) with
+    elementary jump operators L = |dst,n><src,n'|.  Assembled directly as a
+    sparse CSR matrix: the bare energies and the anticommutator fill the
+    diagonal, each jump one population-to-population entry, and the
+    microwave coupling -i (V x 1 - 1 x V^T) a sparse Kronecker product.
+    Columns sum to zero (trace annihilation) by construction.  No size cap:
+    memory grows as the number of nonzeros, O(dim^3).
+    """
+    fixed, coupling = _generator_terms(params, sideband_only)
+    return fixed + params.omega_0 * coupling
 
 
 @dataclass
@@ -250,31 +289,40 @@ class SteadyStateResult:
     degenerate: bool
 
 
-def steady_state(params: CoolingParams, lio: np.ndarray | None = None,
+def steady_state(params: CoolingParams, lio: sp.spmatrix | None = None,
                  check_degenerate: bool = True) -> SteadyStateResult:
-    """Kernel of the Liouvillian, normalized to unit trace.
+    """Kernel of the Liouvillian, normalized to unit trace, by sparse LU.
 
-    Solves the linear system with one row replaced by the trace constraint;
-    a second solve with a different replaced row cross-checks that the
-    kernel is one-dimensional.
+    One row of L vec(rho) = 0 is replaced by the trace constraint and the
+    system is factorized with SuperLU (``splu``), the direct sparse
+    steady-state solve of QuTiP.  A second solve with a different replaced
+    row cross-checks that the kernel is one-dimensional.  If even the first
+    system is singular, the kernel has dimension > 1 and a unit-trace
+    element of it comes from a dense SVD, which refuses state spaces above
+    ``SVD_DIM_LIMIT``.
     """
     if lio is None:
         lio = build_liouvillian(params)
     dim = params.dim
-    trace_idx = [i * dim + i for i in range(dim)]
+    coo = lio.tocoo()
+    trace_cols = np.arange(dim) * (dim + 1)
 
     def solve(row: int) -> np.ndarray | None:
-        a = lio.copy()
-        a[row, :] = 0.0
-        a[row, trace_idx] = 1.0
+        keep = coo.row != row
+        a = sp.csc_matrix((np.concatenate([coo.data[keep], np.ones(dim)]),
+                           (np.concatenate([coo.row[keep], np.full(dim, row)]),
+                            np.concatenate([coo.col[keep], trace_cols]))),
+                          shape=coo.shape)
         b = np.zeros(dim * dim, dtype=complex)
         b[row] = 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with np.errstate(all="ignore"):
                 try:
-                    x = lu_solve(lu_factor(a), b)
-                except np.linalg.LinAlgError:
+                    # minimum degree on A^T + A: the pattern is nearly
+                    # symmetric, and this ordering fills less than COLAMD
+                    x = splu(a, permc_spec="MMD_AT_PLUS_A").solve(b)
+                except RuntimeError:    # SuperLU: factor is exactly singular
                     return None
         if not np.all(np.isfinite(x)):
             return None
@@ -298,12 +346,18 @@ def steady_state(params: CoolingParams, lio: np.ndarray | None = None,
                              degenerate)
 
 
-def _kernel_state_svd(lio: np.ndarray, params: CoolingParams) -> DensityMatrix:
+def _kernel_state_svd(lio: sp.spmatrix, params: CoolingParams) -> DensityMatrix:
     """Any unit-trace Hermitian kernel element, via the smallest singular
-    vectors (fallback path when the kernel is degenerate)."""
-    _, s, vh = np.linalg.svd(lio)
-    null = vh[s < max(1e-10 * s[0], 1e-12)].conj()
+    vectors of the dense generator (fallback path when the kernel is
+    degenerate)."""
     dim = params.dim
+    if dim > SVD_DIM_LIMIT:
+        raise ValueError(
+            f"degenerate kernel at state space {dim}: the dense SVD fallback "
+            f"takes at most {SVD_DIM_LIMIT} states (generator {dim * dim} x "
+            f"{dim * dim})")
+    _, s, vh = np.linalg.svd(lio.toarray())
+    null = vh[s < max(1e-10 * s[0], 1e-12)].conj()
     for vec in null:
         rho = vec.reshape(dim, dim)
         rho = 0.5 * (rho + rho.conj().T)
@@ -314,13 +368,18 @@ def _kernel_state_svd(lio: np.ndarray, params: CoolingParams) -> DensityMatrix:
 
 
 def evolve(params: CoolingParams, rho0: np.ndarray, duration: float,
-           lio: np.ndarray | None = None,
+           lio: sp.spmatrix | None = None,
            method: str = "auto") -> DensityMatrix:
     """Propagate rho0 for ``duration`` seconds under the master equation.
 
-    ``method``: "eig" (dense eigendecomposition of the generator; exact at
-    any time, cost independent of duration), "krylov" (sparse
-    expm_multiply), or "auto" (eig for small generators).
+    ``method``: "eig" diagonalizes the dense generator (``lio.toarray()``)
+    once, so its cost does not grow with ``duration``; "krylov" applies
+    ``expm_multiply`` to the sparse generator, whose cost grows with
+    ||L t||_1.  "auto" takes eig for generators up to 1600 x 1600.  eig
+    stays the default for cooling transients: at n_max = 10, ||L||_1 times
+    omega_vib times 1 s is about 8.4e6, and expm_multiply already takes
+    2.2 s for a 1 ms transient (one BLAS thread), about as long as eig
+    takes for any duration.
     """
     if lio is None:
         lio = build_liouvillian(params)
@@ -329,10 +388,10 @@ def evolve(params: CoolingParams, rho0: np.ndarray, duration: float,
     if method == "auto":
         method = "eig" if lio.shape[0] <= 1600 else "krylov"
     if method == "eig":
-        w, v = np.linalg.eig(lio)
+        w, v = np.linalg.eig(lio.toarray())
         vec = v @ (np.exp(w * t) * np.linalg.solve(v, v0))
     elif method == "krylov":
-        vec = expm_multiply(csr_matrix(lio) * t, v0)
+        vec = expm_multiply(lio * t, v0)
     else:
         raise ValueError(f"unknown method {method!r}")
     rho = vec.reshape(params.dim, params.dim)
@@ -370,20 +429,29 @@ class CoolingMap:
 def cooling_map(base: CoolingParams, eta_x_grid: np.ndarray,
                 omega_0_grid: np.ndarray,
                 check_degenerate: bool = False) -> CoolingMap:
+    """Steady-state ground population for every (eta_x, omega_0) cell.
+
+    A cell whose solve fails numerically (``LinAlgError``, ``RuntimeError``
+    or ``ValueError``) stays NaN and is recorded in ``failures`` as
+    "<type>: <message>"; any other exception propagates.
+    """
     eta_x_grid = np.asarray(eta_x_grid, dtype=float)
     omega_0_grid = np.asarray(omega_0_grid, dtype=float)
     p = np.full((eta_x_grid.size, omega_0_grid.size), np.nan)
     failures = []
     for i, ex in enumerate(eta_x_grid):
-        # jump rates depend on eta_x only: share them across the Rabi axis
+        # jump rates, dissipator and coupling depend on eta_x only: share
+        # them across the Rabi axis
         row_params = replace(base, eta_x=float(ex))
+        fixed, coupling = _generator_terms(row_params)
         for j, om in enumerate(omega_0_grid):
             cell = replace(row_params, omega_0=float(om))
             try:
-                res = steady_state(cell, check_degenerate=check_degenerate)
+                res = steady_state(cell, fixed + cell.omega_0 * coupling,
+                                   check_degenerate=check_degenerate)
                 p[i, j] = res.rho.p_ground()
-            except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                failures.append((i, j, str(exc)))
+            except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
+                failures.append((i, j, f"{type(exc).__name__}: {exc}"))
     return CoolingMap(eta_x_grid, omega_0_grid, p, failures)
 
 

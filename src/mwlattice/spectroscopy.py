@@ -533,13 +533,14 @@ def fit_spectrum(detunings: np.ndarray, observed: np.ndarray,
                         diff_step=1e-4, xtol=1e-12, ftol=1e-12, gtol=1e-12,
                         max_nfev=max_nfev)
     theta = res.x * scale
-    # covariance from J^T J; flag degeneracy instead of crashing
-    jac = res.jac / scale[None, :]
-    jtj = jac.T @ jac
+    # covariance from J^T J of the scaled problem (z = theta / scale), whose
+    # conditioning the units do not distort; flag degeneracy instead of
+    # crashing.  cov(theta) = diag(scale) cov(z) diag(scale).
+    jtj = res.jac.T @ res.jac
     dof = max(1, detunings.size - 4)
     try:
         cov = np.linalg.inv(jtj) * 2 * res.cost / dof
-        err = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        err = scale * np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         err = np.full(4, np.nan)
     success = res.status > 0

@@ -218,9 +218,11 @@ def test_criterion_06_fit_round_trip_zero_noise():
                           ATOM, 865.95, FIT_PULSE, cfg=FIT_CFG)
     devs = {k: abs(result.params[k] - truth[k]) / abs(truth[k])
             for k in truth}
-    ok = result.success and max(devs.values()) < 1e-6
+    degenerate = " [degenerate Jacobian]" in result.message
+    ok = result.success and not degenerate and max(devs.values()) < 1e-6
     verdict(6, "fit round trip (zero noise)", ok,
-            f"max relative deviation = {max(devs.values()):.2e}")
+            f"max relative deviation = {max(devs.values()):.2e}, "
+            f"degenerate Jacobian = {degenerate}")
 
 
 def test_criterion_07_thermal_broadening_law():

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from mwlattice import cooling
 from mwlattice.cooling import (CoolingParams, DEFAULT_BRANCHING, SPIN_AUX,
                                SPIN_DOWN, SPIN_UP, build_liouvillian,
                                cooling_map, decay_rates,
@@ -60,6 +62,84 @@ def test_hamiltonian_hermitian_and_resonant():
     m = p.levels
     # rotating frame: |up,1> and |down,0> degenerate
     assert h[1, 1] == pytest.approx(h[m + 0, m + 0], abs=1e-12)
+
+
+def dense_liouvillian(p, sideband_only=False):
+    """Reference: the generator assembled densely from Kronecker products."""
+    dim, m = p.dim, p.levels
+    eye = np.eye(dim)
+    h = hamiltonian(p, sideband_only)
+    lio = -1j * (np.kron(h, eye) - np.kron(eye, h.T)).astype(complex)
+    decay_diag = np.zeros(dim)
+    for ch in decay_rates(p):
+        g = ch.rates / p.omega_vib
+        src0, dst0 = ch.source_spin * m, ch.target_spin * m
+        for n_ket in range(m):
+            j = src0 + n_ket
+            for n_bra in range(m):
+                i = dst0 + n_bra
+                lio[i * dim + i, j * dim + j] += g[n_bra, n_ket]
+            decay_diag[j] += g[:, n_ket].sum()
+    lio -= 0.5 * (np.kron(np.diag(decay_diag), eye)
+                  + np.kron(eye, np.diag(decay_diag)))
+    return lio
+
+
+@pytest.mark.parametrize("sideband_only, kw", [
+    (False, {}), (True, {}),
+    (False, {"r_up": 2 * math.pi * 1e3, "aux_shifted": False})])
+def test_sparse_liouvillian_matches_dense_assembly(sideband_only, kw):
+    p = params(n_max=5, **kw)
+    lio = build_liouvillian(p, sideband_only)
+    assert sp.issparse(lio)
+    ref = dense_liouvillian(p, sideband_only)
+    assert np.abs(lio.toarray() - ref).max() < 1e-14
+
+
+def test_decay_rates_compute_each_kernel_once(monkeypatch):
+    calls = []
+    original = cooling.emission_average_overlap_sq
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cooling, "emission_average_overlap_sq", counting)
+    channels = decay_rates(params(r_up=2 * math.pi * 1e3))
+    assert len(channels) == 7
+    assert sorted(calls) == [0.0, 0.3]
+
+
+def test_steady_state_matches_dense_solve():
+    p = params(n_max=10)
+    lio = build_liouvillian(p)
+    dim = p.dim
+    a = lio.toarray()
+    a[0, :] = 0.0
+    a[0, np.arange(dim) * (dim + 1)] = 1.0
+    b = np.zeros(dim * dim, dtype=complex)
+    b[0] = 1.0
+    rho = np.linalg.solve(a, b).reshape(dim, dim)
+    rho = 0.5 * (rho + rho.conj().T)
+    rho /= np.trace(rho).real
+    result = steady_state(p, lio)
+    assert not result.degenerate
+    assert np.abs(result.rho.matrix - rho).max() < 1e-12
+
+
+def test_steady_state_beyond_the_dense_size():
+    # dim 63 and 75: the dense generator would be 3969^2 and 5625^2
+    p20 = steady_state(params(n_max=20)).rho.p_ground()
+    p24 = steady_state(params(n_max=24)).rho.p_ground()
+    assert abs(p20 - p24) < 1e-6
+
+
+def test_svd_fallback_refuses_large_state_space():
+    p = params(omega_0=0.0, n_max=40)
+    n2 = p.dim ** 2
+    # an all-zero generator leaves the trace-row system singular
+    with pytest.raises(ValueError, match="state space 123"):
+        steady_state(p, sp.csr_matrix((n2, n2), dtype=complex))
 
 
 def test_liouvillian_annihilates_trace():
@@ -130,6 +210,46 @@ def test_cooling_map_small_grid():
     assert cm.p_ground.shape == (2, 2)
     assert not cm.failures
     assert np.all(cm.p_ground > 0.5)
+
+
+def test_cooling_map_cell_matches_steady_state(monkeypatch):
+    rows = []
+    original = cooling.decay_rates
+
+    def counting(p):
+        rows.append(p.eta_x)
+        return original(p)
+
+    monkeypatch.setattr(cooling, "decay_rates", counting)
+    base = params(n_max=6)
+    etas = np.array([0.2, 0.5])
+    omegas = 2 * math.pi * np.array([10e3, 30e3, 60e3])
+    cm = cooling_map(base, etas, omegas)
+    assert rows == [0.2, 0.5]          # jump rates built once per row
+    own = params(eta_x=0.5, omega_0=2 * math.pi * 30e3, n_max=6)
+    assert abs(cm.p_ground[1, 1] - steady_state(own).rho.p_ground()) < 1e-12
+
+
+def test_cooling_map_records_numerical_failures_by_type(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(cooling, "steady_state", singular)
+    cm = cooling_map(params(n_max=3), np.array([0.3]),
+                     2 * math.pi * np.array([20e3, 40e3]))
+    assert cm.failures == [(0, 0, "LinAlgError: singular matrix"),
+                           (0, 1, "LinAlgError: singular matrix")]
+    assert np.all(np.isnan(cm.p_ground))
+
+
+def test_cooling_map_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bad argument")
+
+    monkeypatch.setattr(cooling, "steady_state", broken)
+    with pytest.raises(TypeError, match="bad argument"):
+        cooling_map(params(n_max=3), np.array([0.3]),
+                    2 * math.pi * np.array([20e3]))
 
 
 def test_energy_balance_formula():
