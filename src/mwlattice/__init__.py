@@ -27,7 +27,6 @@ from .franck_condon import (
     fcf_exact,
     fcf_harmonic,
     fcf_harmonic_matrix,
-    coupling,
 )
 from .spectroscopy import (
     PulseSpec,
@@ -81,7 +80,6 @@ __all__ = [
     "fcf_exact",
     "fcf_harmonic",
     "fcf_harmonic_matrix",
-    "coupling",
     "PulseSpec",
     "SidebandSystem",
     "SpectroscopyConfig",

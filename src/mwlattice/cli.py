@@ -1,10 +1,10 @@
 """Command-line interface: reproducible experiment runs emitting CSV + JSON.
 
 Subcommands: bands, fcf, spectrum, fit, cool, coolmap, engineer, filter.
-Common flags: --config <json>, --out <dir>, --seed <u64>, --threads <n>,
---emit-config.  Exit codes: 0 success, 2 config error, 3 solver error.
-Outputs are deterministic for a fixed config and seed (fixed float
-formatting, sorted JSON keys, no timestamps).
+Common flags: --config <json>, --out <dir>, --seed <u64>, --emit-config.
+Exit codes: 0 success, 2 config error (including a config key that is not
+in the schema), 3 solver error.  Outputs are deterministic for a fixed
+config and seed (fixed float formatting, sorted JSON keys, no timestamps).
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def cmd_bands(cfg: dict, out: Path, rng) -> dict:
     depth = cfg["bands"]["depth"]
     if depth is None:
         depth = cfg["lattice"]["depth_up"]
-    spec = solve_bands(float(depth), n_bands=int(sol["n_bands"]),
+    spec = solve_bands(float(depth), n_bands=int(sol["n_max"]) + 1,
                        k_points=int(sol["k_points"]), q_cutoff=_q_cutoff(cfg))
     headers = ["k"] + [f"eps_{n}" for n in range(spec.n_bands)]
     _write_csv(out / "bands.csv", headers,
@@ -94,7 +94,7 @@ def cmd_fcf(cfg: dict, out: Path, rng) -> dict:
     atom = cesium()
     geom = _geometry(cfg)
     sol = cfg["solver"]
-    spec = solve_bands(geom.depth_up, n_bands=int(sol["n_bands"]),
+    spec = solve_bands(geom.depth_up, n_bands=int(sol["n_max"]) + 1,
                        k_points=int(sol["k_points"]), q_cutoff=_q_cutoff(cfg))
     d_nm = geom.spacing
     shifts_nm = np.linspace(0.0, cfg["fcf"]["max_shift_nm"],
@@ -334,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="BLAS thread cap (advisory)")
         p.add_argument("--emit-config", action="store_true",
                        help="print the fully resolved config and exit")
     return parser
@@ -351,12 +349,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.emit_config:
         sys.stdout.write(dumps(cfg))
         return 0
-    if args.threads and args.threads > 0:
-        try:
-            from threadpoolctl import threadpool_limits
-            threadpool_limits(args.threads)
-        except ImportError:
-            pass
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)

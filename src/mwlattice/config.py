@@ -18,9 +18,6 @@ class ConfigError(Exception):
 
 #: Full parameter tree with defaults.  ``None`` means "derive at runtime".
 DEFAULTS: dict = {
-    "atom": {
-        "species": "cesium",
-    },
     "lattice": {
         "wavelength_nm": 865.95,
         "depth_up": 850.0,
@@ -29,8 +26,7 @@ DEFAULTS: dict = {
     "solver": {
         "k_points": 32,
         "q_cutoff": None,
-        "n_max": 15,
-        "n_bands": 16,
+        "n_max": 15,              # bands and fcf solve n_max + 1 bands
     },
     "bands": {
         "depth": None,            # default: lattice.depth_up
@@ -57,7 +53,6 @@ DEFAULTS: dict = {
     },
     "fit": {
         "input_csv": None,        # CSV with detuning_khz, probability columns
-        "polarization_angle": 1.3167,
         "pulse_fwhm_us": 100.0,
         "atoms_per_point": 100,
         "guess": {

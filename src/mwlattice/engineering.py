@@ -7,7 +7,9 @@ vibrational population distribution through cumulative survival plateaus.
 
 The default motional model is the harmonic ladder with displaced-oscillator
 couplings D[n', n](eta_x); sequences track the current shift so every pulse
-uses the coupling table of the shift at which it is applied.
+uses the coupling table of the shift at which it is applied.  A pulse is
+propagated by ``spectroscopy.propagate_detunings`` on the harmonic
+``SidebandSystem`` of that shift, the same propagator the spectra use.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .franck_condon import fcf_harmonic_matrix
-from .spectroscopy import PulseSpec
+from .spectroscopy import (PulseSpec, SidebandSystem, SpinMotionState,
+                           propagate_detunings)
 
 # ---------------------------------------------------------------------------
 # sequence steps
@@ -42,11 +45,6 @@ class LatticeShift:
     vibrational populations are preserved exactly)."""
 
     eta_x: float
-    mode: str = "instantaneous"
-
-    def __post_init__(self):
-        if self.mode != "instantaneous":
-            raise ValueError("only instantaneous shifts are implemented")
 
 
 @dataclass(frozen=True)
@@ -120,49 +118,27 @@ class HarmonicModel:
         """K[n_down, n_up] at the given shift."""
         return np.real(fcf_harmonic_matrix(complex(eta_x, 0.0), self.n_max))
 
-    def resonance(self, n_up: int, n_down: int) -> float:
-        """Detuning of |up,n> -> |down,n'> relative to the carrier."""
-        return (n_up - n_down) * self.omega_vib
+    def system(self, eta_x: float) -> SidebandSystem:
+        """Sideband system at the given shift: energies n * omega_vib for
+        both spins (the carrier at zero detuning) and couplings K(eta_x)."""
+        energy = np.arange(self.n_max + 1, dtype=float) * self.omega_vib
+        return SidebandSystem(energy_up=energy, energy_down=energy,
+                              fc_matrix=self.coupling(eta_x))
 
 
 def pulse_unitary(model: HarmonicModel, pulse: PulseSpec,
                   eta_x: float) -> np.ndarray:
     """Unitary of one pulse in the rotating frame at omega_MW.
 
-    Same Strang splitting as the spectroscopy propagator, applied to the
-    full basis at once.  Time-dependent detuning (chirp) supported.
+    Propagates the identity, as a batch of row states, through
+    ``spectroscopy.propagate_detunings`` at ``pulse.detuning`` with step
+    ``model.dt`` (None = automatic); the propagated rows form the
+    transpose of the unitary.  Time-dependent detuning (chirp) supported.
     """
-    m = model.n_max + 1
-    n = np.arange(m, dtype=float)
-    base = np.concatenate([n * model.omega_vib, n * model.omega_vib])
-    up_proj = np.concatenate([np.ones(m), np.zeros(m)])
-    k = model.coupling(eta_x)
-    c = np.zeros((2 * m, 2 * m))
-    c[:m, m:] = k.T
-    c[m:, :m] = k
-
-    diag0 = base - pulse.detuning * up_proj
-    diag0 = diag0 - diag0.mean()
-    dt = model.dt
-    if dt is None:
-        scale = float(np.max(np.abs(diag0))) + pulse.peak_rabi + abs(pulse.sweep)
-        dt = min(0.05 / max(scale, 1.0), pulse.support / 400.0)
-    n_steps = max(1, int(math.ceil(pulse.support / dt)))
-    dt = pulse.support / n_steps
-
-    lam, q = np.linalg.eigh(c)
-    u = np.eye(2 * m, dtype=complex)
-    for i in range(n_steps):
-        tm = (i + 0.5) * dt
-        dd = pulse.instantaneous_detuning(tm) - pulse.detuning
-        half = np.exp(-0.5j * dt * (diag0 - dd * up_proj))
-        u = half[:, None] * u
-        omega = pulse.rabi(tm)
-        if omega != 0.0:
-            rot = np.exp(0.5j * dt * omega * lam)
-            u = q @ (rot[:, None] * (q.T @ u))
-        u = half[:, None] * u
-    return u
+    system = model.system(eta_x)
+    identity = SpinMotionState(np.eye(system.dim, dtype=complex))
+    return propagate_detunings(system, pulse, identity, [pulse.detuning],
+                               dt=model.dt).T
 
 
 def run_sequence(initial: SequenceState, steps: list[SequenceStep],
@@ -181,7 +157,8 @@ def run_sequence(initial: SequenceState, steps: list[SequenceStep],
             continue   # rotating-frame phases are irrelevant to populations
         elif isinstance(step, MicrowavePulse):
             n_up, n_down = step.target
-            detuning = model.resonance(n_up, n_down) + step.detuning_offset
+            detuning = (model.system(state.eta_x).resonance(n_up, n_down)
+                        + step.detuning_offset)
             pulse = replace(step.pulse, detuning=detuning)
             u = pulse_unitary(model, pulse, state.eta_x)
             state.rho = u @ state.rho @ u.conj().T
@@ -321,8 +298,7 @@ def prepare_coherent(model: HarmonicModel, eta_x: float,
     if exact_table is not None:
         amps = np.asarray(exact_table, dtype=float)[:, 0]
     else:
-        amps = np.real(fcf_harmonic_matrix(complex(eta_x, 0.0),
-                                           model.n_max))[:, 0]
+        amps = model.coupling(eta_x)[:, 0]
     pops = amps ** 2
     pops = pops / pops.sum()
     n = np.arange(model.n_max + 1)

@@ -111,12 +111,6 @@ def fcf_harmonic_matrix(alpha: complex, n_max: int) -> np.ndarray:
     return out
 
 
-def coupling(table: FranckCondonTable, omega_0: float,
-             n: int, n_prime: int) -> float:
-    """Sideband Rabi frequency Omega = I_{n}^{n'} * Omega_0 (rad/s)."""
-    return table.overlap(n_prime, n) * omega_0
-
-
 def fcf_quadrature(w_bra, w_ket, shift: float, x_span: float = 4.0,
                    n_points: int = 8192) -> float:
     """Position-space overlap of two Wannier states, independent of fcf_exact.

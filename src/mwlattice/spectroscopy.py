@@ -19,8 +19,8 @@ from scipy.signal import find_peaks
 from scipy.special import roots_laguerre
 
 from .lattice import (
-    HBAR, KB, AtomConstants, LatticeGeometry, SpinPotential,
-    potentials_from_angle, recoil_energy, trap_frequency,
+    HBAR, KB, AtomConstants, LatticeGeometry, potentials_from_angle,
+    recoil_energy, trap_frequency,
 )
 from .bands import cached_bands, default_q_cutoff
 from .franck_condon import fcf_exact
@@ -123,9 +123,6 @@ class SidebandSystem:
     energy_up: np.ndarray      # (n_max+1,), rad/s
     energy_down: np.ndarray    # (n_max+1,), rad/s
     fc_matrix: np.ndarray      # (n_max+1, n_max+1)
-    shift: float               # units of d
-    potential_up: SpinPotential
-    potential_down: SpinPotential
 
     @property
     def n_max(self) -> int:
@@ -191,28 +188,28 @@ def system_from_potentials(w_up: float, w_down: float, u_down_tot: float,
     eps_down = (u_down_tot + np.array([spec_down.band_energy(n)
                                        for n in range(n_bands)])) * er_w
     fc = fcf_exact(spec_down, spec_up, shift).matrix
-    lam = lattice_wavelength
-    pot_up = SpinPotential(w_up, u_up_tot, shift, trap_frequency(w_up, atom, lam))
-    pot_down = SpinPotential(w_down, u_down_tot, 0.0,
-                             trap_frequency(w_down, atom, lam))
-    return SidebandSystem(energy_up=eps_up, energy_down=eps_down,
-                          fc_matrix=fc, shift=shift,
-                          potential_up=pot_up, potential_down=pot_down)
+    return SidebandSystem(energy_up=eps_up, energy_down=eps_down, fc_matrix=fc)
 
 
 def propagate_detunings(system: SidebandSystem, pulse: PulseSpec,
                         initial: SpinMotionState, detunings: np.ndarray,
                         dt: float | None = None) -> np.ndarray:
-    """Final-state matrix (n_detunings, dim) after the pulse, one column batch.
+    """Final states after the pulse, one row per detuning.
 
-    Second-order Strang splitting: exact diagonal phases, exact coupling
-    rotation via a single eigendecomposition of the coupling matrix.  Each
-    step is unitary, so the norm is conserved to machine precision.
+    ``initial.amplitudes`` is one state (dim,) or a batch of row states
+    (B, dim) broadcast against the detunings (B = 1, n_detunings = 1 or
+    B = n_detunings).  Second-order Strang splitting: exact diagonal phases,
+    exact coupling rotation via a single eigendecomposition of the coupling
+    matrix.  Each step is unitary, so the norm is conserved to machine
+    precision, and symmetric, so the identity batch comes out as the
+    transpose of the pulse unitary.
     """
     detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
     base, up_proj, c = system.hamiltonian_parts()
-    psi = np.tile(initial.amplitudes, (detunings.size, 1)).astype(complex)
     diag = base[None, :] - np.multiply.outer(detunings, up_proj)  # (Nd, dim)
+    amps = initial.amplitudes
+    psi = np.array(np.broadcast_to(
+        amps, np.broadcast_shapes(amps.shape, diag.shape)), dtype=complex)
     # Subtract the per-detuning mean: a constant on the diagonal is a global
     # phase and only the spread limits the split-step accuracy.
     diag = diag - diag.mean(axis=1, keepdims=True)
@@ -326,17 +323,6 @@ def radial_depth_scale(rho: float, waist: float) -> float:
     return math.exp(-2.0 * rho ** 2 / waist ** 2)
 
 
-def radial_parameters(geom: LatticeGeometry, atom: AtomConstants, rho: float,
-                      omega_rad: float) -> tuple[SpinPotential, SpinPotential, float]:
-    """Spin potentials at transverse offset rho (depths Gaussian-rescaled)."""
-    g = radial_depth_scale(rho, beam_waist(geom, atom, omega_rad))
-    up, down, dx = potentials_from_angle(geom, atom)
-    def scaled(p: SpinPotential) -> SpinPotential:
-        return SpinPotential(p.contrast * g, p.total_depth * g, p.center,
-                             p.trap_frequency * math.sqrt(g))
-    return scaled(up), scaled(down), dx
-
-
 def boltzmann_populations(n_max: int, omega_vib: float,
                           temperature: float) -> np.ndarray:
     """Truncated thermal distribution over vibrational levels."""
@@ -398,6 +384,50 @@ class SpectroscopyConfig:
     dt: float | None = None          # s; None = automatic step size
 
 
+def _thermal_transfer(w_up: float, w_down: float, u_down_tot: float,
+                      dx: float, ensemble: ThermalEnsemble,
+                      atom: AtomConstants, lattice_wavelength: float,
+                      pulse: PulseSpec, detunings: np.ndarray,
+                      cfg: SpectroscopyConfig,
+                      initial_populations: np.ndarray | None) -> np.ndarray:
+    """Ensemble-averaged transfer from the up spin over the detuning grid.
+
+    The forward model of both ``simulate_spectrum`` and ``fit_spectrum``.
+    At each transverse node the depths are rescaled by the Gaussian beam
+    profile (``beam_waist``), bands and Franck-Condon tables re-derived,
+    and every initial level propagated.  Without ``initial_populations``
+    the levels are Boltzmann-weighted at ``cfg.axial_temperature`` with the
+    node's up-spin trap frequency.
+    """
+    q_cut = cfg.q_cutoff or default_q_cutoff(w_up)
+    # the waist depends on the up-spin depth only, not on the angle
+    waist = beam_waist(LatticeGeometry(lattice_wavelength, w_up, 0.0), atom,
+                       ensemble.omega_rad)
+    rhos, weights = ensemble.nodes(atom)
+    m = cfg.n_max + 1
+    transfer = np.zeros(detunings.size)
+    for rho, w_rho in zip(rhos, weights):
+        g = radial_depth_scale(rho, waist)
+        system = system_from_potentials(
+            w_up * g, w_down * g, u_down_tot * g, dx, atom,
+            lattice_wavelength, n_max=cfg.n_max, k_points=cfg.k_points,
+            q_cutoff=q_cut)
+        if initial_populations is None:
+            pops = boltzmann_populations(
+                cfg.n_max, trap_frequency(w_up * g, atom, lattice_wavelength),
+                cfg.axial_temperature)
+        else:
+            pops = np.asarray(initial_populations, dtype=float)
+            pops = pops / pops.sum()
+        for n0, p0 in enumerate(pops):
+            if p0 < 1e-6:
+                continue
+            psi0 = SpinMotionState.basis(cfg.n_max, "up", n0)
+            out = propagate_detunings(system, pulse, psi0, detunings, dt=cfg.dt)
+            transfer += w_rho * p0 * np.sum(np.abs(out[:, m:]) ** 2, axis=1)
+    return transfer
+
+
 def simulate_spectrum(geom: LatticeGeometry, atom: AtomConstants,
                       pulse: PulseSpec, detunings: np.ndarray,
                       ensemble: ThermalEnsemble | None = None,
@@ -412,36 +442,12 @@ def simulate_spectrum(geom: LatticeGeometry, atom: AtomConstants,
     approximation).
     """
     detunings = np.asarray(detunings, dtype=float)
-    q_cut = cfg.q_cutoff or default_q_cutoff(geom.depth_up)
     if ensemble is None:
         ensemble = ThermalEnsemble(0.0, cfg.omega_rad, 1)
-    waist = beam_waist(geom, atom, ensemble.omega_rad)
-    rhos, weights = ensemble.nodes(atom)
-
-    transfer = np.zeros(detunings.size)
-    for rho, w_rho in zip(rhos, weights):
-        g = radial_depth_scale(rho, waist)
-        system = build_system(geom, atom, n_max=cfg.n_max,
-                              k_points=cfg.k_points, q_cutoff=q_cut,
-                              depth_scale=g)
-        if initial_populations is None:
-            if cfg.axial_temperature > 0:
-                pops = boltzmann_populations(
-                    cfg.n_max, system.potential_up.trap_frequency,
-                    cfg.axial_temperature)
-            else:
-                pops = np.zeros(cfg.n_max + 1)
-                pops[0] = 1.0
-        else:
-            pops = np.asarray(initial_populations, dtype=float)
-            pops = pops / pops.sum()
-        for n0, p0 in enumerate(pops):
-            if p0 < 1e-6:
-                continue
-            psi0 = SpinMotionState.basis(cfg.n_max, "up", n0)
-            out = propagate_detunings(system, pulse, psi0, detunings, dt=cfg.dt)
-            m = cfg.n_max + 1
-            transfer += w_rho * p0 * np.sum(np.abs(out[:, m:]) ** 2, axis=1)
+    up, down, dx = potentials_from_angle(geom, atom)
+    transfer = _thermal_transfer(up.contrast, down.contrast, down.total_depth,
+                                 dx, ensemble, atom, geom.lattice_wavelength,
+                                 pulse, detunings, cfg, initial_populations)
     result = SpectrumResult(detunings=detunings, transfer=transfer)
     result.locate_peaks()
     return result
@@ -468,41 +474,6 @@ class FitResult:
     message: str
 
 
-def _fit_forward(theta: np.ndarray, w_up: float, atom: AtomConstants,
-                 lattice_wavelength: float, pulse: PulseSpec,
-                 detunings: np.ndarray, cfg: SpectroscopyConfig,
-                 initial_populations: np.ndarray | None) -> np.ndarray:
-    dx, w_down, du_tot, t2d = theta
-    u_down_tot = -w_up - du_tot
-    q_cut = cfg.q_cutoff or default_q_cutoff(w_up)
-    ens = ThermalEnsemble(t2d, cfg.omega_rad, cfg.thermal_samples)
-    # transverse scaling uses the up-spin full depth, as in simulate_spectrum
-    waist = math.sqrt(4.0 * w_up * recoil_energy(atom, lattice_wavelength)
-                      / (atom.mass * cfg.omega_rad ** 2))
-    rhos, weights = ens.nodes(atom)
-    transfer = np.zeros(detunings.size)
-    for rho, w_rho in zip(rhos, weights):
-        g = radial_depth_scale(rho, waist)
-        system = system_from_potentials(
-            w_up * g, w_down * g, u_down_tot * g, dx, atom,
-            lattice_wavelength, n_max=cfg.n_max, k_points=cfg.k_points,
-            q_cutoff=q_cut)
-        if initial_populations is None:
-            pops = np.zeros(cfg.n_max + 1)
-            pops[0] = 1.0
-        else:
-            pops = np.asarray(initial_populations, dtype=float)
-            pops = pops / pops.sum()
-        m = cfg.n_max + 1
-        for n0, p0 in enumerate(pops):
-            if p0 < 1e-6:
-                continue
-            psi0 = SpinMotionState.basis(cfg.n_max, "up", n0)
-            out = propagate_detunings(system, pulse, psi0, detunings, dt=cfg.dt)
-            transfer += w_rho * p0 * np.sum(np.abs(out[:, m:]) ** 2, axis=1)
-    return transfer
-
-
 def fit_spectrum(detunings: np.ndarray, observed: np.ndarray,
                  sigma: np.ndarray, initial_guess: dict[str, float],
                  w_up: float, atom: AtomConstants, lattice_wavelength: float,
@@ -523,9 +494,11 @@ def fit_spectrum(detunings: np.ndarray, observed: np.ndarray,
     scale = np.array([max(abs(v), 1e-3) for v in x0])
 
     def residuals(z):
-        theta = z * scale
-        model = _fit_forward(theta, w_up, atom, lattice_wavelength, pulse,
-                             detunings, cfg, initial_populations)
+        dx, w_down, du_tot, t2d = z * scale
+        ensemble = ThermalEnsemble(t2d, cfg.omega_rad, cfg.thermal_samples)
+        model = _thermal_transfer(w_up, w_down, -w_up - du_tot, dx, ensemble,
+                                  atom, lattice_wavelength, pulse, detunings,
+                                  cfg, initial_populations)
         return (model - observed) / sigma
 
     lower = np.array([0.0, 1.0, -np.inf, 0.0]) / scale

@@ -93,7 +93,7 @@ def test_bands_free_particle(tmp_path):
 def test_fcf_command(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"fcf": {"n_shifts": 5, "max_shift_nm": 100.0},
-                               "solver": {"k_points": 16, "n_bands": 8}}))
+                               "solver": {"k_points": 16, "n_max": 7}}))
     assert run_cli(["fcf", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     data = np.genfromtxt(tmp_path / "fcf.csv", delimiter=",", names=True)
     assert data["I_0_0"][0] == pytest.approx(1.0, abs=1e-10)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from mwlattice.engineering import (HarmonicModel, LatticeShift, MicrowavePulse,
                                    PopulationDistribution, PushOut,
@@ -14,7 +15,8 @@ from mwlattice.engineering import (HarmonicModel, LatticeShift, MicrowavePulse,
                                    pulse_unitary, reconstruct_distribution,
                                    run_sequence, superposition_sequence,
                                    zero_coupling_shift)
-from mwlattice.spectroscopy import PulseSpec, gaussian_pi_pulse
+from mwlattice.spectroscopy import (PulseSpec, SidebandSystem, SpinMotionState,
+                                    evolve_pulse, gaussian_pi_pulse)
 
 MODEL = HarmonicModel(omega_vib=2 * math.pi * 116.73e3, n_max=10)
 
@@ -37,6 +39,30 @@ def test_pulse_unitary_is_unitary():
     pulse = gaussian_pi_pulse(30e-6)
     u = pulse_unitary(MODEL, pulse, 0.5)
     assert np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() < 1e-9
+
+    # independent references on a harmonic ladder at eta_x = 0.7
+    model = HarmonicModel(omega_vib=MODEL.omega_vib, n_max=8)
+    m = model.n_max + 1
+    energy = np.arange(m) * model.omega_vib
+    k = model.coupling(0.7)
+    system = SidebandSystem(energy, energy, k)
+    red = system.resonance(0, 1)
+    # rectangular pulse, automatic dt: the constant rotating-frame H
+    rect = PulseSpec("rectangular", peak_rabi=2 * math.pi * 10e3,
+                     detuning=red, duration=50e-6)
+    h = np.diag(np.concatenate([energy - red, energy]))
+    h[:m, m:] -= 0.5 * rect.peak_rabi * k.T
+    h[m:, :m] -= 0.5 * rect.peak_rabi * k
+    want = np.abs(expm(-1j * h * rect.duration)) ** 2
+    got = np.abs(pulse_unitary(model, rect, 0.7)) ** 2
+    assert np.abs(got - want).max() < 1e-6
+    # 1 ms chirp from |up,0>: the adaptive ODE integrator
+    chirp = PulseSpec("adiabatic_chirp", peak_rabi=2 * math.pi * 8e3,
+                      detuning=red, sweep=2 * math.pi * 50e3, duration=1e-3)
+    psi0 = SpinMotionState.basis(model.n_max, "up", 0)
+    ode = evolve_pulse(system, chirp, psi0, method="ode").amplitudes
+    got = np.abs(pulse_unitary(model, chirp, 0.7)[:, 0]) ** 2
+    assert np.abs(got - np.abs(ode) ** 2).max() < 1e-7
 
 
 def test_carrier_pi_pulse_at_zero_shift():

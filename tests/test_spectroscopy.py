@@ -8,8 +8,9 @@ from mwlattice.spectroscopy import (PulseSpec, SpectroscopyConfig,
                                     SpinMotionState, ThermalEnsemble,
                                     beam_waist, binomial_sigma,
                                     boltzmann_populations, build_system,
-                                    evolve_pulse, gaussian_pi_pulse,
-                                    propagate_detunings, radial_depth_scale,
+                                    evolve_pulse, fit_spectrum,
+                                    gaussian_pi_pulse, propagate_detunings,
+                                    radial_depth_scale,
                                     simulate_spectrum, system_from_potentials)
 
 ATOM = cesium()
@@ -140,3 +141,26 @@ def test_simulate_spectrum_peak_at_carrier():
     above = detunings[result.transfer > half]
     fwhm_khz = (above.max() - above.min()) / (2 * math.pi * 1e3)
     assert fwhm_khz == pytest.approx(20.0, rel=0.25)
+
+
+def test_fit_model_honours_axial_temperature():
+    # simulate_spectrum and fit_spectrum share one forward model, so the
+    # fit's model at the true parameters reproduces a thermal spectrum
+    geom = LatticeGeometry(865.95, 850.0, 0.8770)
+    cfg = SpectroscopyConfig(n_max=6, k_points=16, thermal_samples=2,
+                             axial_temperature=5e-6, dt=3e-7)
+    ens = ThermalEnsemble(10e-6, cfg.omega_rad, cfg.thermal_samples)
+    pulse = gaussian_pi_pulse(30e-6)
+    system = build_system(geom, ATOM, n_max=6, k_points=16)
+    detunings = np.array([system.resonance(n, n2) for n in range(3)
+                          for n2 in range(3)])
+    observed = simulate_spectrum(geom, ATOM, pulse, detunings, ensemble=ens,
+                                 cfg=cfg).transfer
+    up, down, dx = potentials_from_angle(geom, ATOM)
+    truth = {"dx": dx, "w_down": down.contrast,
+             "du_tot": -up.contrast - down.total_depth, "t2d": 10e-6}
+    fit = fit_spectrum(detunings, observed, np.ones_like(observed), truth,
+                       w_up=850.0, atom=ATOM, lattice_wavelength=865.95,
+                       pulse=pulse, cfg=cfg, max_nfev=1)
+    # cost = sum(residual^2) / 2 with unit sigma: residuals below 1e-12
+    assert fit.cost < 0.5 * detunings.size * 1e-24
