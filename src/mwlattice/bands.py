@@ -77,23 +77,26 @@ class WannierState:
         """Evaluate w_{n,r}(x) at positions x (units of 1/k_L).
 
         Normalized so that the integral of |w|^2 dx over the line is 1.
+        Evaluated in factored form, e^{i kappa x} = e^{i k x} e^{2i q x}:
+        w(x) = sum_k e^{i k x} [sum_q a_{k,q} e^{2i q x}], which costs
+        N_x (N_k + N_q) exponentials instead of N_x N_k N_q.
         """
         x = np.asarray(x, dtype=float)
         spec = self.spectrum
-        kappa = spec.plane_wavevectors().ravel()             # (N_k * N_q,)
-        coef = spec.coefficients[:, self.band, :].ravel()
+        coef = spec.coefficients[:, self.band, :]            # (N_k, N_q)
+        two_q = 2.0 * spec.q_values
         norm = spec.k_grid.size * math.sqrt(math.pi)
         # w(x) = (N_k sqrt(d))^{-1} sum_{k,q} a e^{i kappa (x - r d)}; the
         # e^{-i k r d} site phase is absorbed since e^{i 2 q r pi} = 1.
-        xr = np.atleast_1d(x) - self.site * math.pi
+        xr = x.ravel() - self.site * math.pi
         w = np.empty(xr.shape, dtype=complex)
-        chunk = max(1, 2_000_000 // kappa.size)
+        chunk = max(1, 2_000_000 // (spec.k_grid.size + two_q.size))
         for i in range(0, xr.size, chunk):
             block = xr[i:i + chunk]
-            w[i:i + chunk] = np.exp(1j * np.multiply.outer(block, kappa)) @ coef
-        w = w / norm
-        if np.isscalar(x) or np.ndim(x) == 0:
-            w = w[0]
+            inner = np.exp(1j * np.multiply.outer(block, two_q)) @ coef.T
+            outer = np.exp(1j * np.multiply.outer(block, spec.k_grid))
+            w[i:i + chunk] = np.einsum("xk,xk->x", outer, inner)
+        w = w.reshape(x.shape) / norm
         return np.real_if_close(w, tol=1e6)
 
 

@@ -347,24 +347,32 @@ def steady_state(params: CoolingParams, lio: sp.spmatrix | None = None,
 
 
 def _kernel_state_svd(lio: sp.spmatrix, params: CoolingParams) -> DensityMatrix:
-    """Any unit-trace Hermitian kernel element, via the smallest singular
-    vectors of the dense generator (fallback path when the kernel is
-    degenerate)."""
+    """Steady state reached from the maximally mixed state, for a degenerate
+    kernel (fallback path).
+
+    The left and right null vectors of the dense generator's SVD give the
+    spectral projector onto the kernel; zero is a semisimple eigenvalue of a
+    Lindblad generator, so the projector is the long-time average of the
+    evolution and maps I/dim to a density matrix, not merely to some
+    unit-trace kernel element.
+    """
     dim = params.dim
     if dim > SVD_DIM_LIMIT:
         raise ValueError(
             f"degenerate kernel at state space {dim}: the dense SVD fallback "
             f"takes at most {SVD_DIM_LIMIT} states (generator {dim * dim} x "
             f"{dim * dim})")
-    _, s, vh = np.linalg.svd(lio.toarray())
-    null = vh[s < max(1e-10 * s[0], 1e-12)].conj()
-    for vec in null:
-        rho = vec.reshape(dim, dim)
-        rho = 0.5 * (rho + rho.conj().T)
-        tr = float(np.real(np.trace(rho)))
-        if abs(tr) > 1e-9:
-            return DensityMatrix(rho / tr, params.n_max)
-    raise RuntimeError("no unit-trace state found in the Liouvillian kernel")
+    u, s, vh = np.linalg.svd(lio.toarray())
+    null = s < max(1e-10 * s[0], 1e-12)
+    right, left_h = vh[null].conj().T, u[:, null].conj().T
+    mixed = np.eye(dim).reshape(-1) / dim
+    rho = right @ np.linalg.solve(left_h @ right, left_h @ mixed)
+    rho = rho.reshape(dim, dim)
+    rho = 0.5 * (rho + rho.conj().T)
+    tr = float(np.real(np.trace(rho)))
+    if abs(tr) < 1e-9:
+        raise RuntimeError("no unit-trace state found in the Liouvillian kernel")
+    return DensityMatrix(rho / tr, params.n_max)
 
 
 def evolve(params: CoolingParams, rho0: np.ndarray, duration: float,

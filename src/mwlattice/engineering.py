@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+from scipy.special import roots_laguerre
 
 from .franck_condon import fcf_harmonic_matrix
 from .spectroscopy import (PulseSpec, SidebandSystem, SpinMotionState,
@@ -189,7 +190,14 @@ def run_sequence(initial: SequenceState, steps: list[SequenceStep],
 
 def coupling_maximizing_shift(model: HarmonicModel, n_up: int,
                               n_down: int) -> float:
-    """Shift eta_x maximizing |K[n_down, n_up]| (searched on (0, 4])."""
+    """Shift eta_x maximizing |K[n_down, n_up]|.
+
+    From |up,0> the coupling e^{-eta^2/2} eta^m / sqrt(m!) peaks at
+    eta = sqrt(m) exactly; other rows are searched on (0, 4].
+    """
+    if n_up == 0:
+        return math.sqrt(n_down)
+
     def neg(eta):
         return -abs(model.coupling(eta)[n_down, n_up])
     res = minimize_scalar(neg, bounds=(1e-3, 4.0), method="bounded")
@@ -199,29 +207,14 @@ def coupling_maximizing_shift(model: HarmonicModel, n_up: int,
 def zero_coupling_shift(model: HarmonicModel, n: int) -> float:
     """Smallest positive shift where the diagonal coupling K[n, n] vanishes.
 
-    For n = 2 this is the shift used to make the carrier blind to the
-    |down,2> component (first zero of the Laguerre polynomial L_2).
+    K[n, n] = e^{-eta^2/2} L_n(eta^2), so the shift is the square root of
+    the smallest zero of the Laguerre polynomial L_n (the smallest
+    Gauss-Laguerre node).  For n = 2 this makes the carrier blind to the
+    |down,2> component.
     """
-    grid = np.linspace(1e-3, 4.0, 2000)
-    vals = np.array([model.coupling(e)[n, n] for e in grid])
-    sign = np.sign(vals)
-    idx = np.nonzero(np.diff(sign))[0]
-    if idx.size == 0:
-        raise ValueError(f"K[{n},{n}] has no zero crossing below eta_x = 4")
-    i = idx[0]
-    # bisection refinement
-    lo, hi = grid[i], grid[i + 1]
-    flo = vals[i]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = model.coupling(mid)[n, n]
-        if fm == 0.0:
-            return float(mid)
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+    if n < 1:
+        raise ValueError(f"K[{n},{n}] has no zero crossing")
+    return math.sqrt(roots_laguerre(n)[0].min())
 
 
 def adiabatic_passage_pulse(model: HarmonicModel, coupling: float,

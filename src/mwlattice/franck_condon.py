@@ -65,19 +65,22 @@ def fcf_exact(spec_bra: BlochSpectrum, spec_ket: BlochSpectrum,
                              depth_bra=spec_bra.depth, depth_ket=spec_ket.depth)
 
 
-def displacement_element(alpha: complex, n_bra: int, n_ket: int) -> complex:
-    """<n_bra| D(alpha) |n_ket> for the harmonic oscillator."""
-    if n_bra < 0 or n_ket < 0:
+def displacement_element(alpha: complex, n_bra, n_ket):
+    """<n_bra| D(alpha) |n_ket> for the harmonic oscillator.
+
+    ``n_bra`` and ``n_ket`` are integers or broadcastable integer arrays
+    (Cahill & Glauber closed form; ``gammaln`` and ``eval_genlaguerre`` are
+    ufuncs, so an index grid costs one call).
+    """
+    n_bra, n_ket = np.asarray(n_bra), np.asarray(n_ket)
+    if np.any(n_bra < 0) or np.any(n_ket < 0):
         raise ValueError("negative oscillator index")
     a2 = abs(alpha) ** 2
-    lo, hi = min(n_bra, n_ket), max(n_bra, n_ket)
-    amp = math.exp(-a2 / 2 + 0.5 * (gammaln(lo + 1) - gammaln(hi + 1)))
+    lo, hi = np.minimum(n_bra, n_ket), np.maximum(n_bra, n_ket)
+    amp = np.exp(-a2 / 2 + 0.5 * (gammaln(lo + 1) - gammaln(hi + 1)))
     lag = eval_genlaguerre(lo, hi - lo, a2)
-    if n_bra >= n_ket:
-        pref = alpha ** (n_bra - n_ket)
-    else:
-        pref = (-np.conj(alpha)) ** (n_ket - n_bra)
-    return pref * amp * lag
+    base = np.where(n_bra >= n_ket, alpha, -np.conj(alpha))
+    return base ** (hi - lo) * amp * lag
 
 
 def fcf_harmonic(eta_x: float, n: int, n_prime: int,
@@ -104,11 +107,7 @@ def fcf_harmonic(eta_x: float, n: int, n_prime: int,
 def fcf_harmonic_matrix(alpha: complex, n_max: int) -> np.ndarray:
     """Displacement matrix D[n', n] = <n'|D(alpha)|n> up to n_max inclusive."""
     n = np.arange(n_max + 1)
-    out = np.empty((n_max + 1, n_max + 1), dtype=complex)
-    for nb in n:
-        for nk in n:
-            out[nb, nk] = displacement_element(alpha, int(nb), int(nk))
-    return out
+    return displacement_element(complex(alpha), n[:, None], n[None, :])
 
 
 def fcf_quadrature(w_bra, w_ket, shift: float, x_span: float = 4.0,

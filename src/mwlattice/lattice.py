@@ -14,7 +14,7 @@ and well position depend on ``theta``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from scipy import constants as si
 
@@ -79,12 +79,6 @@ class LatticeGeometry:
     def spacing(self) -> float:
         """Lattice spacing d = lambda_L / 2, in nm."""
         return self.lattice_wavelength / 2.0
-
-    def with_angle(self, theta: float) -> "LatticeGeometry":
-        return replace(self, polarization_angle=theta)
-
-    def with_depth(self, depth_up: float) -> "LatticeGeometry":
-        return replace(self, depth_up=depth_up)
 
 
 @dataclass(frozen=True)

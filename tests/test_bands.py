@@ -96,3 +96,30 @@ def test_invalid_arguments():
         solve_bands(-1.0)
     with pytest.raises(ValueError):
         solve_bands(10.0, n_bands=100, q_cutoff=4)
+
+
+def direct_sum_wannier(ws, x):
+    """w(x) as the plain sum over every plane wave e^{i (k + 2q)(x - r d)}."""
+    spec = ws.spectrum
+    kappa = spec.plane_wavevectors().ravel()
+    coef = spec.coefficients[:, ws.band, :].ravel()
+    xr = np.atleast_1d(np.asarray(x, dtype=float)) - ws.site * math.pi
+    w = np.exp(1j * np.multiply.outer(xr, kappa)) @ coef
+    return w / (spec.k_grid.size * math.sqrt(math.pi))
+
+
+@pytest.mark.parametrize("depth", [850.0, 8000.0])
+def test_wannier_factored_matches_direct_sum(depth):
+    spec = solve_bands(depth, n_bands=4, k_points=16)
+    x = np.linspace(-3 * math.pi, 4 * math.pi, 401)
+    for n in range(4):
+        for site in (0, 1):
+            w = wannier(spec, n, site=site)
+            assert np.abs(w(x) - direct_sum_wannier(w, x)).max() < 1e-13
+            grid = x[:12].reshape(3, 4)
+            vals = w(grid)
+            assert vals.shape == (3, 4)
+            assert np.abs(vals - direct_sum_wannier(w, grid)).max() < 1e-13
+            scalar = w(0.37)
+            assert np.ndim(scalar) == 0
+            assert abs(scalar - direct_sum_wannier(w, 0.37)[0]) < 1e-13

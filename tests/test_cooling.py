@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import expm
 
 from mwlattice import cooling
 from mwlattice.cooling import (CoolingParams, DEFAULT_BRANCHING, SPIN_AUX,
@@ -175,6 +176,19 @@ def test_degenerate_kernel_flagged_without_coupling():
     result = steady_state(p)
     assert result.degenerate
     result.rho.validate(tol=1e-6)
+
+
+def test_degenerate_kernel_state_is_long_time_limit():
+    # the fallback returns the state the maximally mixed state relaxes to,
+    # checked against a dense matrix exponential at a time long against
+    # every decay
+    p = params(omega_0=0.0, n_max=3)
+    lio = build_liouvillian(p).toarray()
+    rho = steady_state(p).rho.matrix
+    mixed = np.eye(p.dim).reshape(-1) / p.dim
+    late = (expm(lio * 1e3) @ mixed).reshape(p.dim, p.dim)
+    assert np.abs(rho - late).max() < 1e-10
+    assert np.linalg.eigvalsh(rho).min() > -1e-12
 
 
 def test_evolution_converges_to_steady_state():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.optimize import brentq, minimize_scalar
 
 from mwlattice.engineering import (HarmonicModel, LatticeShift, MicrowavePulse,
                                    PopulationDistribution, PushOut,
@@ -15,6 +16,7 @@ from mwlattice.engineering import (HarmonicModel, LatticeShift, MicrowavePulse,
                                    pulse_unitary, reconstruct_distribution,
                                    run_sequence, superposition_sequence,
                                    zero_coupling_shift)
+from mwlattice.franck_condon import displacement_element
 from mwlattice.spectroscopy import (PulseSpec, SidebandSystem, SpinMotionState,
                                     evolve_pulse, gaussian_pi_pulse)
 
@@ -101,6 +103,35 @@ def test_coupling_extrema_locations():
     # K[2,2] ~ L_2(eta^2): first zero at eta^2 = 2 - sqrt(2)
     eta22 = zero_coupling_shift(MODEL, 2)
     assert eta22 == pytest.approx(math.sqrt(2 - math.sqrt(2)), abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_zero_coupling_shift_matches_root_search(n):
+    # independent: first sign change of <n|D(eta)|n> on a grid, then brentq
+    def k_nn(eta):
+        return float(np.real(displacement_element(eta, n, n)))
+    grid = np.linspace(1e-3, 4.0, 400)
+    vals = np.array([k_nn(e) for e in grid])
+    i = np.nonzero(np.diff(np.sign(vals)))[0][0]
+    ref = brentq(k_nn, grid[i], grid[i + 1], xtol=1e-15, rtol=1e-15)
+    eta = zero_coupling_shift(MODEL, n)
+    assert eta == pytest.approx(ref, abs=1e-12)
+    assert abs(MODEL.coupling(eta)[n, n]) < 1e-14
+
+
+def test_zero_coupling_shift_rejects_carrier_without_zero():
+    with pytest.raises(ValueError):
+        zero_coupling_shift(MODEL, 0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_coupling_maximizing_shift_matches_search(m):
+    res = minimize_scalar(lambda e: -abs(displacement_element(e, m, 0)),
+                          bounds=(1e-3, 4.0), method="bounded",
+                          options={"xatol": 1e-10})
+    eta = coupling_maximizing_shift(MODEL, 0, m)
+    assert eta == pytest.approx(res.x, abs=2e-6)
+    assert eta == math.sqrt(m)
 
 
 def test_superposition_population_split():

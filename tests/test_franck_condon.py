@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import eval_genlaguerre
 
 from mwlattice.bands import cached_bands, wannier
 from mwlattice.franck_condon import (displacement_element, fcf_exact,
@@ -74,6 +75,34 @@ def test_displacement_matrix_unitarity():
     d = fcf_harmonic_matrix(0.3 + 0.2j, 25)
     block = (d.conj().T @ d)[:10, :10]
     assert np.abs(block - np.eye(10)).max() < 1e-10
+
+
+def scalar_displacement(alpha, n_bra, n_ket):
+    """<n_bra|D(alpha)|n_ket> from the closed form, one element at a time."""
+    lo, hi = min(n_bra, n_ket), max(n_bra, n_ket)
+    a2 = abs(alpha) ** 2
+    amp = math.exp(-a2 / 2) * math.sqrt(math.factorial(lo) / math.factorial(hi))
+    base = alpha if n_bra >= n_ket else -complex(alpha).conjugate()
+    return base ** (hi - lo) * amp * eval_genlaguerre(lo, hi - lo, a2)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.4, -1.2, 3.5, -3.5, 0.3 + 0.2j,
+                                   3.5j, 2.1 - 2.8j])
+def test_displacement_matrix_matches_elementwise_formula(alpha):
+    for n_max in (0, 1, 7, 15, 24):
+        d = fcf_harmonic_matrix(alpha, n_max)
+        ref = np.array([[scalar_displacement(alpha, nb, nk)
+                         for nk in range(n_max + 1)]
+                        for nb in range(n_max + 1)], dtype=complex)
+        assert d.shape == (n_max + 1, n_max + 1)
+        assert np.abs(d - ref).max() < 1e-13
+    assert displacement_element(alpha, 3, 1) == pytest.approx(
+        scalar_displacement(alpha, 3, 1), abs=1e-15)
+
+
+def test_displacement_element_rejects_negative_index():
+    with pytest.raises(ValueError):
+        displacement_element(0.3, np.arange(-1, 2), 0)
 
 
 def test_displacement_inverse_is_adjoint():
