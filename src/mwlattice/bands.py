@@ -28,6 +28,10 @@ class BandSolverError(RuntimeError):
     """Raised when the plane-wave diagonalization fails to converge."""
 
 
+# Largest eigen-residual ||H v - eps v|| accepted, relative to max(1, |eps|).
+RESIDUAL_TOL = 1e-9
+
+
 def default_q_cutoff(depth: float) -> int:
     return max(16, math.ceil(2 * math.sqrt(max(depth, 1.0))) + 8)
 
@@ -120,28 +124,24 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     Franck-Condon signs agree with displacement-operator matrix elements.
     """
     n_bands, n_q = vecs.shape
+    n = np.arange(n_bands)
+    odd = (n % 2 == 1)[:, None]
     q = np.arange(n_q) - (n_q - 1) // 2
-    out = np.empty_like(vecs, dtype=complex)
-    for n in range(n_bands):
-        v = vecs[n]
-        if n % 2 == 0:
-            s = np.sum(v)
-        else:
-            s = np.sum(np.sign(q) * v)
-        want = -1.0 if (n // 2) % 2 else 1.0
-        sign = want if s >= 0 else -want
-        out[n] = (sign * v) if n % 2 == 0 else (-1j * sign * v)
-    return out
+    s = np.sum(np.where(odd, np.sign(q), 1.0) * vecs, axis=1)
+    want = np.where((n // 2) % 2 == 1, -1.0, 1.0)
+    sign = np.where(s >= 0, want, -want)[:, None]
+    return np.where(odd, -1j * sign * vecs, sign * vecs)
 
 
 def solve_bands(depth: float, n_bands: int = 16, k_points: int = 64,
-                q_cutoff: int | None = None,
-                residual_tol: float = 1e-9) -> BlochSpectrum:
+                q_cutoff: int | None = None) -> BlochSpectrum:
     """Diagonalize the central equation for a lattice of the given depth.
 
     The k grid is symmetric about zero and excludes the zone boundary
     (k_j = -1 + (2j+1)/N_k), so every k has a -k partner and the phase-fixed
-    Wannier states come out real.
+    Wannier states come out real.  Every eigenpair is checked against the
+    full tridiagonal operator; a residual above ``RESIDUAL_TOL`` raises
+    ``BandSolverError`` naming the band and k.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -157,17 +157,17 @@ def solve_bands(depth: float, n_bands: int = 16, k_points: int = 64,
     q = np.arange(-q_cutoff, q_cutoff + 1)
     for j, k in enumerate(k_grid):
         vals, vecs = _solve_single_k(k, depth, n_bands, q_cutoff)
-        # Residual check against the full operator.
-        diag = (k + 2.0 * q) ** 2 + depth / 2.0
-        for n in range(n_bands):
-            v = vecs[n]
-            hv = diag * v
-            hv[1:] += -depth / 4.0 * v[:-1]
-            hv[:-1] += -depth / 4.0 * v[1:]
-            res = np.linalg.norm(hv - vals[n] * v)
-            if res > residual_tol * max(1.0, abs(vals[n])):
-                raise BandSolverError(
-                    f"eigen-residual {res:.2e} above tolerance at band {n}, k={k:.4f}")
+        # Residual check against the full operator, all bands at once.
+        hv = ((k + 2.0 * q) ** 2 + depth / 2.0) * vecs
+        hv[:, 1:] += -depth / 4.0 * vecs[:, :-1]
+        hv[:, :-1] += -depth / 4.0 * vecs[:, 1:]
+        res = np.linalg.norm(hv - vals[:, None] * vecs, axis=1)
+        tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))
+        bad = np.flatnonzero(res > tol)
+        if bad.size:
+            n = bad[0]
+            raise BandSolverError(f"eigen-residual {res[n]:.2e} above "
+                                  f"tolerance at band {n}, k={k:.4f}")
         energies[j] = vals
         coeffs[j] = _fix_phases(vecs)
     return BlochSpectrum(depth=float(depth), n_bands=n_bands, k_grid=k_grid,

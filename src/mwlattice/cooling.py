@@ -34,6 +34,9 @@ SPIN_NAMES = ("up", "down", "aux")
 # from angular-momentum coupling of its spontaneous decay channels.
 DEFAULT_BRANCHING = (7.0 / 15.0, 5.0 / 12.0, 7.0 / 60.0)
 
+# Gauss-Legendre nodes of the emission-direction average.
+EMISSION_NODES = 16
+
 # Largest state space (3 (n_max+1)) the dense SVD fallback for a degenerate
 # kernel accepts: its generator is dim^2 x dim^2 and the SVD is O(dim^6).
 SVD_DIM_LIMIT = 120
@@ -60,7 +63,6 @@ class CoolingParams:
     r_up: float = 0.0                # lattice scattering rate in |up>, 1/s
     branching: tuple[float, float, float] = DEFAULT_BRANCHING
     n_max: int = 15
-    emission_nodes: int = 16
     aux_shifted: bool = True
 
     def __post_init__(self):
@@ -128,18 +130,19 @@ class DensityMatrix:
             raise ValueError("density matrix not positive semidefinite")
 
 
-def emission_average_overlap_sq(eta_x: float, eta_k: float, n_max: int,
-                                nodes: int = 16) -> np.ndarray:
+def emission_average_overlap_sq(eta_x: float, eta_k: float,
+                                n_max: int) -> np.ndarray:
     """<|M[n, n']|^2> averaged over the spontaneous-photon direction.
 
     M = <n| T_{dk} T_{dx} |n'> in the harmonic basis with total momentum
     transfer dk x_0 = eta_k (1 + u), u = cos(angle to the lattice axis)
-    uniform on [-1, 1] (isotropic emission).  Gauss-Legendre quadrature.
+    uniform on [-1, 1] (isotropic emission).  Gauss-Legendre quadrature
+    on ``EMISSION_NODES`` nodes.
     """
     if eta_k == 0.0:
         m = fcf_harmonic_matrix(complex(eta_x, 0.0), n_max)
         return np.abs(m) ** 2
-    u, w = np.polynomial.legendre.leggauss(nodes)
+    u, w = np.polynomial.legendre.leggauss(EMISSION_NODES)
     w = w / w.sum()
     out = np.zeros((n_max + 1, n_max + 1))
     for ui, wi in zip(u, w):
@@ -167,8 +170,7 @@ def decay_rates(params: CoolingParams) -> list[JumpChannel]:
     def overlap(src: int, dst: int) -> np.ndarray:
         dx = params.eta_x if site(src) != site(dst) else 0.0
         if dx not in kernels:
-            kernels[dx] = emission_average_overlap_sq(
-                dx, params.eta_k, n_max, params.emission_nodes)
+            kernels[dx] = emission_average_overlap_sq(dx, params.eta_k, n_max)
         return kernels[dx]
 
     channels = []
@@ -186,45 +188,7 @@ def decay_rates(params: CoolingParams) -> list[JumpChannel]:
     return channels
 
 
-def _coupling_matrix(params: CoolingParams,
-                     sideband_only: bool = False) -> np.ndarray:
-    """K[n', n] = <n'| T_{eta_x} |n>, the |up,n> -> |down,n'> coupling.
-
-    ``sideband_only`` keeps only the resonant first sideband n' = n - 1.
-    """
-    m = params.levels
-    k = np.real(fcf_harmonic_matrix(complex(params.eta_x, 0.0), params.n_max))
-    if sideband_only:
-        mask = np.zeros_like(k)
-        mask[np.arange(m - 1), np.arange(1, m)] = 1.0       # <n-1|...|n>
-        k = k * mask
-    return k
-
-
-def _bare_energies(levels: int) -> np.ndarray:
-    """Diagonal of H in the (up, down, aux) blocks; aux is uncoupled."""
-    n = np.arange(levels, dtype=float)
-    return np.concatenate([n - 1.0, n, n])
-
-
-def hamiltonian(params: CoolingParams, sideband_only: bool = False) -> np.ndarray:
-    """Rotating-frame Hamiltonian in units of hbar*omega_vib.
-
-    The microwave is resonant with |up,1> -> |down,0>, so the up ladder is
-    offset by -1 relative to the down ladder.  ``sideband_only`` zeroes all
-    couplings except the resonant first sideband (diagnostic mode for the
-    dark-state test).
-    """
-    m = params.levels
-    h = np.diag(_bare_energies(m))
-    k = _coupling_matrix(params, sideband_only)
-    g = 0.5 * params.omega_0 / params.omega_vib
-    h[m:2 * m, :m] -= g * k          # <down,n'| H |up,n>
-    h[:m, m:2 * m] -= g * k.T
-    return h
-
-
-def _generator_terms(params: CoolingParams, sideband_only: bool = False
+def _generator_terms(params: CoolingParams
                      ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """The generator split as L = fixed + omega_0 * coupling.
 
@@ -245,9 +209,12 @@ def _generator_terms(params: CoolingParams, sideband_only: bool = False
         cols.append(pop[ch.source_spin * m + n_ket])
         vals.append(g[n_bra, n_ket])
         decay[ch.source_spin * m:(ch.source_spin + 1) * m] += g.sum(axis=0)
-    # -i [H_0, rho] and the anticommutator -{L+L, rho}/2 are diagonal on
-    # vec(rho): entry (i, j) gets -i (e_i - e_j) - (d_i + d_j) / 2
-    e = _bare_energies(m)
+    # Rotating frame, resonant with |up,1> -> |down,0>: the up ladder sits
+    # one quantum below the down ladder; aux is uncoupled.  -i [H_0, rho]
+    # and the anticommutator -{L+L, rho}/2 are diagonal on vec(rho):
+    # entry (i, j) gets -i (e_i - e_j) - (d_i + d_j) / 2
+    n = np.arange(m, dtype=float)
+    e = np.concatenate([n - 1.0, n, n])
     diag = (-1j * (e[:, None] - e[None, :])
             - 0.5 * (decay[:, None] + decay[None, :])).ravel()
     every = np.arange(dim * dim)
@@ -256,9 +223,11 @@ def _generator_terms(params: CoolingParams, sideband_only: bool = False
                             np.concatenate([every, *cols]))),
                           shape=(dim * dim, dim * dim))
 
-    v = np.zeros((dim, dim))             # H per unit omega_0
-    v[m:2 * m, :m] = -0.5 / params.omega_vib * _coupling_matrix(
-        params, sideband_only)
+    # H per unit omega_0: -K/2 between |up,n> and |down,n'>, with
+    # K[n', n] = <n'| T_{eta_x} |n> in omega_vib units
+    v = np.zeros((dim, dim))
+    v[m:2 * m, :m] = -0.5 / params.omega_vib * np.real(
+        fcf_harmonic_matrix(complex(params.eta_x, 0.0), params.n_max))
     v[:m, m:2 * m] = v[m:2 * m, :m].T
     v = sp.csr_matrix(v)
     eye = sp.identity(dim, format="csr")
@@ -266,8 +235,7 @@ def _generator_terms(params: CoolingParams, sideband_only: bool = False
     return fixed, coupling
 
 
-def build_liouvillian(params: CoolingParams,
-                      sideband_only: bool = False) -> sp.csr_matrix:
+def build_liouvillian(params: CoolingParams) -> sp.csr_matrix:
     """Generator acting on the row-major vec(rho), in omega_vib units.
 
     drho/dt = -i [H, rho] + sum_j gamma_j (L rho L+ - {L+L, rho}/2) with
@@ -278,7 +246,7 @@ def build_liouvillian(params: CoolingParams,
     Columns sum to zero (trace annihilation) by construction.  No size cap:
     memory grows as the number of nonzeros, O(dim^3).
     """
-    fixed, coupling = _generator_terms(params, sideband_only)
+    fixed, coupling = _generator_terms(params)
     return fixed + params.omega_0 * coupling
 
 
@@ -299,7 +267,8 @@ def steady_state(params: CoolingParams, lio: sp.spmatrix | None = None,
     row cross-checks that the kernel is one-dimensional.  If even the first
     system is singular, the kernel has dimension > 1 and a unit-trace
     element of it comes from a dense SVD, which refuses state spaces above
-    ``SVD_DIM_LIMIT``.
+    ``SVD_DIM_LIMIT``.  ``residual`` is ||L vec(rho)|| of the returned
+    state on either path.
     """
     if lio is None:
         lio = build_liouvillian(params)
@@ -334,19 +303,19 @@ def steady_state(params: CoolingParams, lio: sp.spmatrix | None = None,
         return rho / tr
 
     rho = solve(0)
-    if rho is None:
-        # Singular even with the trace constraint: kernel has dimension > 1.
-        return SteadyStateResult(_kernel_state_svd(lio, params), np.nan, True)
-    residual = float(np.linalg.norm(lio @ rho.reshape(-1)))
-    degenerate = False
-    if check_degenerate:
+    # Singular even with the trace constraint: kernel has dimension > 1.
+    degenerate = rho is None
+    if degenerate:
+        rho = _kernel_state_svd(lio, dim)
+    elif check_degenerate:
         rho2 = solve(dim * dim - 1)
         degenerate = rho2 is None or bool(np.abs(rho - rho2).max() > 1e-6)
+    residual = float(np.linalg.norm(lio @ rho.reshape(-1)))
     return SteadyStateResult(DensityMatrix(rho, params.n_max), residual,
                              degenerate)
 
 
-def _kernel_state_svd(lio: sp.spmatrix, params: CoolingParams) -> DensityMatrix:
+def _kernel_state_svd(lio: sp.spmatrix, dim: int) -> np.ndarray:
     """Steady state reached from the maximally mixed state, for a degenerate
     kernel (fallback path).
 
@@ -356,7 +325,6 @@ def _kernel_state_svd(lio: sp.spmatrix, params: CoolingParams) -> DensityMatrix:
     evolution and maps I/dim to a density matrix, not merely to some
     unit-trace kernel element.
     """
-    dim = params.dim
     if dim > SVD_DIM_LIMIT:
         raise ValueError(
             f"degenerate kernel at state space {dim}: the dense SVD fallback "
@@ -372,36 +340,31 @@ def _kernel_state_svd(lio: sp.spmatrix, params: CoolingParams) -> DensityMatrix:
     tr = float(np.real(np.trace(rho)))
     if abs(tr) < 1e-9:
         raise RuntimeError("no unit-trace state found in the Liouvillian kernel")
-    return DensityMatrix(rho / tr, params.n_max)
+    return rho / tr
 
 
 def evolve(params: CoolingParams, rho0: np.ndarray, duration: float,
-           lio: sp.spmatrix | None = None,
-           method: str = "auto") -> DensityMatrix:
+           lio: sp.spmatrix | None = None) -> DensityMatrix:
     """Propagate rho0 for ``duration`` seconds under the master equation.
 
-    ``method``: "eig" diagonalizes the dense generator (``lio.toarray()``)
-    once, so its cost does not grow with ``duration``; "krylov" applies
-    ``expm_multiply`` to the sparse generator, whose cost grows with
-    ||L t||_1.  "auto" takes eig for generators up to 1600 x 1600.  eig
-    stays the default for cooling transients: at n_max = 10, ||L||_1 times
-    omega_vib times 1 s is about 8.4e6, and expm_multiply already takes
-    2.2 s for a 1 ms transient (one BLAS thread), about as long as eig
-    takes for any duration.
+    A generator up to 1600 x 1600 (n_max <= 12) is diagonalized densely
+    (``lio.toarray()``) once, so the cost does not grow with ``duration``;
+    a larger one goes to ``expm_multiply`` on the sparse generator, whose
+    cost grows with ||L t||_1.  Below the size limit eig is the faster of
+    the two for cooling transients: at n_max = 10, ||L||_1 times omega_vib
+    times 1 s is about 8.4e6, and expm_multiply already takes 2.2 s for a
+    1 ms transient (one BLAS thread), about as long as eig takes for any
+    duration.
     """
     if lio is None:
         lio = build_liouvillian(params)
     t = duration * params.omega_vib
     v0 = rho0.reshape(-1).astype(complex)
-    if method == "auto":
-        method = "eig" if lio.shape[0] <= 1600 else "krylov"
-    if method == "eig":
+    if lio.shape[0] <= 1600:
         w, v = np.linalg.eig(lio.toarray())
         vec = v @ (np.exp(w * t) * np.linalg.solve(v, v0))
-    elif method == "krylov":
-        vec = expm_multiply(lio * t, v0)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        vec = expm_multiply(lio * t, v0)
     rho = vec.reshape(params.dim, params.dim)
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(rho, params.n_max)
@@ -435,9 +398,11 @@ class CoolingMap:
 
 
 def cooling_map(base: CoolingParams, eta_x_grid: np.ndarray,
-                omega_0_grid: np.ndarray,
-                check_degenerate: bool = False) -> CoolingMap:
+                omega_0_grid: np.ndarray) -> CoolingMap:
     """Steady-state ground population for every (eta_x, omega_0) cell.
+
+    A cell takes one sparse-LU solve: the second, degeneracy-checking solve
+    of ``steady_state`` is skipped.
 
     A cell whose solve fails numerically (``LinAlgError``, ``RuntimeError``
     or ``ValueError``) stays NaN and is recorded in ``failures`` as
@@ -456,7 +421,7 @@ def cooling_map(base: CoolingParams, eta_x_grid: np.ndarray,
             cell = replace(row_params, omega_0=float(om))
             try:
                 res = steady_state(cell, fixed + cell.omega_0 * coupling,
-                                   check_degenerate=check_degenerate)
+                                   check_degenerate=False)
                 p[i, j] = res.rho.p_ground()
             except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
                 failures.append((i, j, f"{type(exc).__name__}: {exc}"))
@@ -477,14 +442,13 @@ def energy_balance(eta_x: float, eta_k: float) -> dict[str, float]:
             "total": de_proj + de_rec - 1.0}
 
 
-def projection_heating_general(spectrum, band: int, shift: float,
-                               x_span: float = 6.0,
-                               n_points: int = 4001) -> float:
+def projection_heating_general(spectrum, band: int, shift: float) -> float:
     """Mean energy gained projecting Wannier state ``band`` onto the
     potential displaced by ``shift`` (units of d); returned in E_R.
 
-    Evaluates <n| V(x - dx) - V(x) |n> by position-space quadrature (the
-    kinetic term cancels).  Equals sum_m (eps_m - eps_n) |I_n^m|^2 over the
+    Evaluates <n| V(x - dx) - V(x) |n> by position-space quadrature, a
+    trapezoid rule on 4001 points over [-6 d, 6 d] (the kinetic term
+    cancels).  Equals sum_m (eps_m - eps_n) |I_n^m|^2 over the
     displaced eigenbasis.
     """
     from scipy.integrate import trapezoid
@@ -492,7 +456,7 @@ def projection_heating_general(spectrum, band: int, shift: float,
 
     w = wannier(spectrum, band)
     d = math.pi
-    x = np.linspace(-x_span * d, x_span * d, n_points)
+    x = np.linspace(-6.0 * d, 6.0 * d, 4001)
     prob = np.abs(np.asarray(w(x), dtype=complex)) ** 2
     depth = spectrum.depth
     dv = depth * (np.sin(x - shift * d) ** 2 - np.sin(x) ** 2)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -24,7 +24,20 @@ from scipy.special import roots_laguerre
 
 from .franck_condon import fcf_harmonic_matrix
 from .spectroscopy import (PulseSpec, SidebandSystem, SpinMotionState,
-                           propagate_detunings)
+                           _spin_block, propagate_detunings)
+
+# Linear-chirp Landau-Zener sweep of ``prepare_fock``, adiabatic when the
+# exponent pi (K * peak_rabi)^2 duration / (2 sweep) >> 1 for the sideband
+# coupling K.
+FOCK_CHIRP = PulseSpec("adiabatic_chirp", peak_rabi=2 * math.pi * 8e3,
+                       sweep=2 * math.pi * 50e3, duration=4e-3)
+
+# Rabi frequency of the two rectangular pulses of ``superposition_sequence``.
+SUPERPOSITION_RABI = 2 * math.pi * 10e3
+
+# Largest drop between successive plateaus ``reconstruct_distribution``
+# clips as noise instead of rejecting.
+NOISE_TOLERANCE = 0.05
 
 # ---------------------------------------------------------------------------
 # sequence steps
@@ -63,6 +76,7 @@ class PushOut:
     efficiency: float = 1.0
 
     def __post_init__(self):
+        _spin_block(self.spin, 0)        # "up" or "down", else ValueError
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must be in [0, 1]")
 
@@ -92,15 +106,11 @@ class SequenceState:
     @classmethod
     def pure(cls, n_max: int, spin: str, n: int,
              eta_x: float = 0.0) -> "SequenceState":
-        dim = 2 * (n_max + 1)
-        amp = np.zeros(dim, dtype=complex)
-        amp[(0 if spin == "up" else n_max + 1) + n] = 1.0
+        amp = SpinMotionState.basis(n_max, spin, n).amplitudes
         return cls(np.outer(amp, amp.conj()), eta_x, n_max)
 
     def populations(self, spin: str) -> np.ndarray:
-        m = self.n_max + 1
-        diag = np.real(np.diag(self.rho))
-        return diag[:m] if spin == "up" else diag[m:]
+        return np.real(np.diag(self.rho))[_spin_block(spin, self.n_max)]
 
     def fidelity(self, spin: str, n: int) -> float:
         return float(self.populations(spin)[n])
@@ -175,8 +185,8 @@ def run_sequence(initial: SequenceState, steps: list[SequenceStep],
             state.rho = rho / tr
         elif isinstance(step, PushOut):
             keep = np.ones(2 * m)
-            sl = slice(0, m) if step.spin == "up" else slice(m, 2 * m)
-            keep[sl] = math.sqrt(1.0 - step.efficiency)
+            keep[_spin_block(step.spin, model.n_max)] = math.sqrt(
+                1.0 - step.efficiency)
             state.rho = keep[:, None] * state.rho * keep[None, :]
             state.survival = float(np.real(np.trace(state.rho)))
         else:
@@ -217,58 +227,37 @@ def zero_coupling_shift(model: HarmonicModel, n: int) -> float:
     return math.sqrt(roots_laguerre(n)[0].min())
 
 
-def adiabatic_passage_pulse(model: HarmonicModel, coupling: float,
-                            peak_rabi: float = 2 * math.pi * 8e3,
-                            sweep: float = 2 * math.pi * 50e3,
-                            duration: float = 4e-3) -> PulseSpec:
-    """Linear-chirp Landau-Zener sweep through one sideband resonance.
-
-    Adiabaticity: the effective gap coupling*peak_rabi and sweep rate
-    sweep/duration give a Landau-Zener exponent
-    pi (coupling*peak_rabi)^2 duration / (2 sweep) >> 1.
-    """
-    if coupling <= 0:
-        raise ValueError("need a nonzero sideband coupling")
-    return PulseSpec("adiabatic_chirp", peak_rabi=peak_rabi, sweep=sweep,
-                     duration=duration)
-
-
-def prepare_fock(model: HarmonicModel, m: int,
-                 pulse: PulseSpec | None = None) -> tuple[SequenceState, float]:
-    """|up,0> -> |down,m> by adiabatic passage on the m-th sideband at the
-    coupling-maximizing shift.  Returns (final state, fidelity)."""
-    if m == 0:
-        eta = 0.0
-        coupling = 1.0
-    else:
-        eta = coupling_maximizing_shift(model, 0, m)
-        coupling = abs(model.coupling(eta)[m, 0])
-    if pulse is None:
-        pulse = adiabatic_passage_pulse(model, coupling)
-    steps = [LatticeShift(eta), MicrowavePulse(pulse, target=(0, m))]
+def prepare_fock(model: HarmonicModel, m: int) -> tuple[SequenceState, float]:
+    """|up,0> -> |down,m> by adiabatic passage (``FOCK_CHIRP``) on the m-th
+    sideband at the coupling-maximizing shift sqrt(m), where the coupling
+    is never zero.  Returns (final state, fidelity)."""
+    eta = coupling_maximizing_shift(model, 0, m)
+    steps = [LatticeShift(eta), MicrowavePulse(FOCK_CHIRP, target=(0, m))]
     state = run_sequence(SequenceState.pure(model.n_max, "up", 0), steps, model)
     return state, state.fidelity("down", m)
 
 
-def superposition_sequence(model: HarmonicModel, area: float,
-                           pulse_rabi: float = 2 * math.pi * 10e3
-                           ) -> SequenceState:
+def superposition_sequence(model: HarmonicModel,
+                           area: float) -> SequenceState:
     """Two-pulse sequence creating cos|down,0> + sin|down,2> populations.
 
     First pulse (area*pi on |up,0> -> |down,2> at the coupling-maximizing
     shift) splits the population; the lattice then moves to the K[2,2] = 0
     point so the closing carrier pi-pulse transfers the |up,0> remainder to
-    |down,0> without touching the |down,2> component.
+    |down,0> without touching the |down,2> component.  Both pulses are
+    rectangular at ``SUPERPOSITION_RABI``.
     """
     eta1 = coupling_maximizing_shift(model, 0, 2)
     k1 = abs(model.coupling(eta1)[2, 0])
-    t1 = area * math.pi / (pulse_rabi * k1)
-    pulse1 = PulseSpec("rectangular", peak_rabi=pulse_rabi, duration=t1)
+    t1 = area * math.pi / (SUPERPOSITION_RABI * k1)
+    pulse1 = PulseSpec("rectangular", peak_rabi=SUPERPOSITION_RABI,
+                       duration=t1)
 
     eta2 = zero_coupling_shift(model, 2)
     k2 = abs(model.coupling(eta2)[0, 0])
-    t2 = math.pi / (pulse_rabi * k2)
-    pulse2 = PulseSpec("rectangular", peak_rabi=pulse_rabi, duration=t2)
+    t2 = math.pi / (SUPERPOSITION_RABI * k2)
+    pulse2 = PulseSpec("rectangular", peak_rabi=SUPERPOSITION_RABI,
+                       duration=t2)
 
     steps = [
         LatticeShift(eta1),
@@ -358,14 +347,14 @@ def filter_survival(dist: PopulationDistribution, n: int, f: float,
 
 def reconstruct_distribution(plateaus: np.ndarray, f: float = 1.0,
                              repetitions: int = 1,
-                             ceiling: float | None = None,
-                             noise_tolerance: float = 0.05) -> PopulationDistribution:
+                             ceiling: float | None = None
+                             ) -> PopulationDistribution:
     """Invert plateau survivals S_n (n = 0 .. n_max+1) back to populations.
 
     S_n = ceiling * (F_n + (1-f')(1-F_n)); p_n = F_{n+1} - F_n.  A ceiling
     below 1 (off-resonant loss) is divided out; if not given it is taken
     from the last plateau (where F = 1).  Negative differences beyond
-    ``noise_tolerance`` raise; smaller ones are clipped with a warning.
+    ``NOISE_TOLERANCE`` raise; smaller ones are clipped with a warning.
     """
     s = np.asarray(plateaus, dtype=float)
     if s.ndim != 1 or s.size < 2:
@@ -379,7 +368,7 @@ def reconstruct_distribution(plateaus: np.ndarray, f: float = 1.0,
         raise ValueError("ceiling must be positive")
     fn = (s / ceiling - (1.0 - f_prime)) / f_prime
     diffs = np.diff(fn)
-    if (diffs < -noise_tolerance).any():
+    if (diffs < -NOISE_TOLERANCE).any():
         raise ValueError("plateaus decrease with n beyond the noise tolerance")
     if (diffs < 0).any():
         warnings.warn("clipping small negative population estimates",

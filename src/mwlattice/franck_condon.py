@@ -83,24 +83,10 @@ def displacement_element(alpha: complex, n_bra, n_ket):
     return base ** (hi - lo) * amp * lag
 
 
-def fcf_harmonic(eta_x: float, n: int, n_prime: int,
-                 first_order: bool = False) -> float:
-    """Harmonic-approximation overlap <n'| T_dx |n> with eta_x = dx/(2 x_0).
-
-    With ``first_order`` the small-eta form
-    delta_{n,n'} + eta_x (sqrt(n') delta_{n',n+1} - sqrt(n) delta_{n',n-1})
-    is returned instead of the full associated-Laguerre expression.
-    """
+def fcf_harmonic(eta_x: float, n: int, n_prime: int) -> float:
+    """Harmonic-approximation overlap <n'| T_dx |n> with eta_x = dx/(2 x_0)."""
     if eta_x < 0:
         raise ValueError("eta_x must be >= 0")
-    if first_order:
-        if n_prime == n:
-            return 1.0
-        if n_prime == n + 1:
-            return eta_x * math.sqrt(n_prime)
-        if n_prime == n - 1:
-            return -eta_x * math.sqrt(n)
-        return 0.0
     return float(np.real(displacement_element(eta_x, n_prime, n)))
 
 

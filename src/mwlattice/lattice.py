@@ -25,6 +25,12 @@ KB = si.k
 _CS_HYPERFINE_HZ = 9_192_631_770.0
 _CS_MASS_KG = 132.905451931 * si.atomic_mass
 
+# Weights of the sigma+ and sigma- standing waves in the down-spin potential
+# at the magic wavelength.  They are fixed: ``lattice_wavelength`` sets the
+# spacing and recoil, not these weights.
+SIGMA_PLUS_WEIGHT_DOWN = 1.0 / 8.0
+SIGMA_MINUS_WEIGHT_DOWN = 7.0 / 8.0
+
 
 @dataclass(frozen=True)
 class AtomConstants:
@@ -56,24 +62,20 @@ class LatticeGeometry:
     """Lattice wavelength, depth and polarization configuration.
 
     ``depth_up`` is the contrast W_up of the spin-up lattice in units of the
-    lattice recoil.  The sigma+/sigma- weights seen by the down spin default
-    to the magic-wavelength values 1/8 and 7/8 but are configurable so that
-    non-magic wavelengths can be modeled.
+    lattice recoil.  The down spin sees the sigma+/sigma- waves with the
+    magic-wavelength weights ``SIGMA_PLUS_WEIGHT_DOWN`` and
+    ``SIGMA_MINUS_WEIGHT_DOWN`` (1/8 and 7/8) at every wavelength.
     """
 
     lattice_wavelength: float   # nm
     depth_up: float             # E_R
     polarization_angle: float   # rad
-    sigma_plus_weight_down: float = 1.0 / 8.0
-    sigma_minus_weight_down: float = 7.0 / 8.0
 
     def __post_init__(self):
         if self.depth_up <= 0:
             raise ValueError("depth_up must be positive")
         if not 0.0 <= self.polarization_angle <= math.pi / 2:
             raise ValueError("polarization_angle must lie in [0, pi/2]")
-        if abs(self.sigma_plus_weight_down + self.sigma_minus_weight_down - 1.0) > 1e-12:
-            raise ValueError("sigma weights must sum to 1")
 
     @property
     def spacing(self) -> float:
@@ -133,13 +135,13 @@ def potentials_from_angle(geom: LatticeGeometry, atom: AtomConstants
 
     Returns ``(up, down, dx)`` with ``dx = x_up^0 - x_down^0`` in units of d.
     The down-spin lattice is the sum of two cos^2 waves with phases -theta/2
-    and +theta/2 and weights ``sigma_plus_weight_down``/``sigma_minus_weight_down``;
-    collapsing the sum back to a single cos^2 gives its contrast, total depth
-    and (nonlinearly shifted) center.
+    and +theta/2 and weights ``SIGMA_PLUS_WEIGHT_DOWN`` and
+    ``SIGMA_MINUS_WEIGHT_DOWN``; collapsing the sum back to a single cos^2
+    gives its contrast, total depth and (nonlinearly shifted) center.
     """
     theta = geom.polarization_angle
     w_up = geom.depth_up
-    wp, wm = geom.sigma_plus_weight_down, geom.sigma_minus_weight_down
+    wp, wm = SIGMA_PLUS_WEIGHT_DOWN, SIGMA_MINUS_WEIGHT_DOWN
 
     # Sum of the two circular standing waves as one cos^2 of reduced contrast.
     w_down = w_up * math.sqrt(

@@ -82,6 +82,16 @@ def gaussian_pi_pulse(fwhm: float, detuning: float = 0.0) -> PulseSpec:
     return PulseSpec("gaussian", peak_rabi=peak, detuning=detuning, fwhm=fwhm)
 
 
+def _spin_block(spin: str, n_max: int) -> slice:
+    """Indices of the ``spin`` ladder in the {|up, n>, |down, n>} basis."""
+    m = n_max + 1
+    if spin == "up":
+        return slice(0, m)
+    if spin == "down":
+        return slice(m, 2 * m)
+    raise ValueError(f"spin must be 'up' or 'down', got {spin!r}")
+
+
 @dataclass
 class SpinMotionState:
     """Amplitudes over {|up, n>, |down, n>}, n = 0..n_max."""
@@ -91,7 +101,7 @@ class SpinMotionState:
     @classmethod
     def basis(cls, n_max: int, spin: str, n: int) -> "SpinMotionState":
         amp = np.zeros(2 * (n_max + 1), dtype=complex)
-        amp[(0 if spin == "up" else n_max + 1) + n] = 1.0
+        amp[_spin_block(spin, n_max).start + n] = 1.0
         return cls(amp)
 
     @property
@@ -99,9 +109,7 @@ class SpinMotionState:
         return self.amplitudes.size // 2 - 1
 
     def populations(self, spin: str) -> np.ndarray:
-        half = self.amplitudes.size // 2
-        block = self.amplitudes[:half] if spin == "up" else self.amplitudes[half:]
-        return np.abs(block) ** 2
+        return np.abs(self.amplitudes[_spin_block(spin, self.n_max)]) ** 2
 
     def transfer_probability(self) -> float:
         """Total population in the down spin."""
@@ -250,22 +258,13 @@ def propagate_detunings(system: SidebandSystem, pulse: PulseSpec,
 
 
 def evolve_pulse(system: SidebandSystem, pulse: PulseSpec,
-                 initial: SpinMotionState, dt: float | None = None,
-                 method: str = "split", rtol: float = 1e-10,
-                 atol: float = 1e-12) -> SpinMotionState:
-    """Integrate one pulse; ``method`` is "split" (default) or "ode".
+                 initial: SpinMotionState) -> SpinMotionState:
+    """Reference integration of one pulse at ``pulse.detuning``.
 
-    The ODE path integrates the Schroedinger equation with an adaptive
-    Runge-Kutta and serves as the accuracy cross-check for the split-step
-    propagator.
+    Integrates the Schroedinger equation with the adaptive Runge-Kutta
+    DOP853 (rtol 1e-10, atol 1e-12); the accuracy cross-check for the
+    split-step ``propagate_detunings``, which the package uses.
     """
-    if method == "split":
-        out = propagate_detunings(system, pulse, initial,
-                                  np.array([pulse.detuning]), dt=dt)
-        return SpinMotionState(out[0])
-    if method != "ode":
-        raise ValueError(f"unknown method {method!r}")
-
     base, up_proj, c = system.hamiltonian_parts()
 
     def rhs(t, y):
@@ -275,7 +274,7 @@ def evolve_pulse(system: SidebandSystem, pulse: PulseSpec,
         return (-1j * h).view(float)
 
     y0 = initial.amplitudes.astype(complex).view(float)
-    sol = solve_ivp(rhs, (0.0, pulse.support), y0, rtol=rtol, atol=atol,
+    sol = solve_ivp(rhs, (0.0, pulse.support), y0, rtol=1e-10, atol=1e-12,
                     method="DOP853")
     if not sol.success:
         raise RuntimeError(f"pulse integration failed: {sol.message}")

@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.linalg import eigh_tridiagonal
 
-from mwlattice.bands import (cached_bands, solve_bands, wannier,
-                             wannier_overlap)
+from mwlattice import bands
+from mwlattice.bands import (BandSolverError, cached_bands, solve_bands,
+                             wannier, wannier_overlap)
 
 
 def hermite_basis_levels(depth, n_levels, n_basis=160, span=0.5):
@@ -96,6 +97,46 @@ def test_invalid_arguments():
         solve_bands(-1.0)
     with pytest.raises(ValueError):
         solve_bands(10.0, n_bands=100, q_cutoff=4)
+
+
+def loop_phase_fixed(vecs):
+    """The phase convention band by band, as a reference for the array form."""
+    n_q = vecs.shape[1]
+    q = np.arange(n_q) - (n_q - 1) // 2
+    out = np.empty_like(vecs, dtype=complex)
+    for n, v in enumerate(vecs):
+        s = np.sum(v) if n % 2 == 0 else np.sum(np.sign(q) * v)
+        want = -1.0 if (n // 2) % 2 else 1.0
+        sign = want if s >= 0 else -want
+        out[n] = (sign * v) if n % 2 == 0 else (-1j * sign * v)
+    return out
+
+
+@pytest.mark.parametrize("depth", [0.0, 3.0, 850.0])
+def test_phase_convention_matches_band_loop(depth):
+    spec = solve_bands(depth, n_bands=8, k_points=8)
+    q = spec.q_values
+    for j, k in enumerate(spec.k_grid):
+        vecs = eigh_tridiagonal((k + 2.0 * q) ** 2 + depth / 2.0,
+                                np.full(q.size - 1, -depth / 4.0),
+                                select="i", select_range=(0, 7))[1].T
+        assert np.array_equal(spec.coefficients[j], loop_phase_fixed(vecs))
+
+
+def test_corrupted_eigenvector_raises_naming_band_and_k(monkeypatch):
+    calls = []
+
+    def corrupting(*args, **kwargs):
+        vals, vecs = eigh_tridiagonal(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 4:             # the fourth k of the grid
+            vecs[:, 2] = np.roll(vecs[:, 2], 1)
+        return vals, vecs
+
+    monkeypatch.setattr(bands, "eigh_tridiagonal", corrupting)
+    k = -1.0 + 7.0 / 8.0                # k_3 of the 8-point grid
+    with pytest.raises(BandSolverError, match=f"band 2, k={k:.4f}"):
+        solve_bands(850.0, n_bands=4, k_points=8)
 
 
 def direct_sum_wannier(ws, x):

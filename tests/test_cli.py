@@ -110,6 +110,17 @@ def test_cool_command(tmp_path):
     assert meta["results"]["residual"] < 1e-10
 
 
+def test_cool_command_degenerate_kernel(tmp_path):
+    # no microwave coupling: the spin sectors decouple, the kernel is
+    # degenerate and the steady state comes from the SVD fallback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cool": {"coupling_khz": 0.0, "n_max": 4}}))
+    assert run_cli(["cool", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "cool.json").read_text())
+    assert meta["results"]["degenerate"] is True
+    assert meta["results"]["residual"] < 1e-10
+
+
 def test_engineer_superposition_command(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(

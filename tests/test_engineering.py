@@ -62,7 +62,7 @@ def test_pulse_unitary_is_unitary():
     chirp = PulseSpec("adiabatic_chirp", peak_rabi=2 * math.pi * 8e3,
                       detuning=red, sweep=2 * math.pi * 50e3, duration=1e-3)
     psi0 = SpinMotionState.basis(model.n_max, "up", 0)
-    ode = evolve_pulse(system, chirp, psi0, method="ode").amplitudes
+    ode = evolve_pulse(system, chirp, psi0).amplitudes
     got = np.abs(pulse_unitary(model, chirp, 0.7)[:, 0]) ** 2
     assert np.abs(got - np.abs(ode) ** 2).max() < 1e-7
 
@@ -84,6 +84,19 @@ def test_push_out_tracks_survival():
     seq = [PushOut(spin="down")]
     final = run_sequence(initial, seq, MODEL)
     assert final.survival == pytest.approx(1.0, abs=1e-12)
+
+
+def test_spin_names_are_checked():
+    # a misspelt spin must not silently act on the down ladder
+    with pytest.raises(ValueError, match="'UP'"):
+        PushOut(spin="UP")
+    with pytest.raises(ValueError, match="'Down'"):
+        SequenceState.pure(10, "Down", 0)
+    state = SequenceState.pure(10, "down", 0)
+    with pytest.raises(ValueError, match="'dn'"):
+        state.populations("dn")
+    with pytest.raises(ValueError, match="'dn'"):
+        state.fidelity("dn", 0)
 
 
 def test_repump_projects_poissonian():

@@ -46,7 +46,6 @@ def test_harmonic_small_eta_expansion():
     assert fcf_harmonic(eta, 0, 1) == pytest.approx(eta, rel=1e-3)
     assert fcf_harmonic(eta, 1, 0) == pytest.approx(-eta, rel=1e-3)
     assert fcf_harmonic(eta, 0, 0) == pytest.approx(1 - eta ** 2 / 2, abs=1e-6)
-    assert fcf_harmonic(eta, 0, 1, first_order=True) == eta
 
 
 def test_harmonic_ground_row_is_poisson_amplitude():

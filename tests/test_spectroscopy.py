@@ -35,7 +35,8 @@ def test_resonant_carrier_pi_pulse_full_transfer():
                                   n_max=0, k_points=8)
     assert sys0.fc_matrix[0, 0] == pytest.approx(1.0, abs=1e-10)
     pulse = gaussian_pi_pulse(30e-6, detuning=sys0.resonance(0, 0))
-    final = evolve_pulse(sys0, pulse, SpinMotionState.basis(0, "up", 0))
+    final = SpinMotionState(propagate_detunings(
+        sys0, pulse, SpinMotionState.basis(0, "up", 0), [pulse.detuning])[0])
     assert final.transfer_probability() == pytest.approx(1.0, abs=1e-8)
 
 
@@ -49,7 +50,8 @@ def test_rabi_formula_rectangular_pulse():
     t = 40e-6
     pulse = PulseSpec("rectangular", peak_rabi=omega,
                       detuning=sys0.resonance(0, 0) + delta, duration=t)
-    final = evolve_pulse(sys0, pulse, SpinMotionState.basis(0, "up", 0))
+    final = SpinMotionState(propagate_detunings(
+        sys0, pulse, SpinMotionState.basis(0, "up", 0), [pulse.detuning])[0])
     eff = math.hypot(omega, delta)
     expected = (omega / eff) ** 2 * math.sin(eff * t / 2) ** 2
     assert final.transfer_probability() == pytest.approx(expected, abs=1e-5)
@@ -59,10 +61,19 @@ def test_split_step_matches_ode_integrator():
     system = small_system()
     pulse = gaussian_pi_pulse(30e-6, detuning=system.resonance(0, 1))
     psi0 = SpinMotionState.basis(6, "up", 0)
-    a = evolve_pulse(system, pulse, psi0, method="split").amplitudes
-    b = evolve_pulse(system, pulse, psi0, method="ode").amplitudes
+    a = propagate_detunings(system, pulse, psi0, [pulse.detuning])[0]
+    b = evolve_pulse(system, pulse, psi0).amplitudes
     # compare populations (global phase differs between integrators)
     assert np.abs(np.abs(a) ** 2 - np.abs(b) ** 2).max() < 1e-7
+
+
+def test_spin_names_are_checked():
+    with pytest.raises(ValueError, match="'UP'"):
+        SpinMotionState.basis(3, "UP", 0)
+    state = SpinMotionState.basis(3, "down", 1)
+    assert state.populations("down")[1] == 1.0
+    with pytest.raises(ValueError, match="'aux'"):
+        state.populations("aux")
 
 
 def test_propagation_preserves_norm():
