@@ -3,7 +3,8 @@
 Subcommands: bands, fcf, spectrum, fit, cool, coolmap, engineer, filter.
 Common flags: --config <json>, --out <dir>, --seed <u64>, --emit-config.
 Exit codes: 0 success, 2 config error (including a config key that is not
-in the schema), 3 solver error.  Outputs are deterministic for a fixed
+in the schema), 3 solver error (including a NaN or infinite result, which
+is named and leaves no <command>.json).  Outputs are deterministic for a fixed
 config and seed (fixed float formatting, sorted JSON keys, no timestamps).
 """
 
@@ -43,6 +44,18 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True,
                                allow_nan=False) + "\n")
+
+
+def _check_finite(value, path: str = "results") -> None:
+    """Raise SolverFailure naming the first NaN or infinity in a result."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{path}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise SolverFailure(f"non-finite result {path} = {value}")
 
 
 def _geometry(cfg: dict, angle: float | None = None) -> LatticeGeometry:
@@ -354,6 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     rng = np.random.default_rng(args.seed)
     try:
         meta = COMMANDS[args.command](cfg, out, rng)
+        _check_finite(meta)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

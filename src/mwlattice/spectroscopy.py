@@ -199,6 +199,19 @@ def system_from_potentials(w_up: float, w_down: float, u_down_tot: float,
     return SidebandSystem(energy_up=eps_up, energy_down=eps_down, fc_matrix=fc)
 
 
+def _rotate(psi: np.ndarray, work: np.ndarray, q: np.ndarray,
+            phase: np.ndarray) -> None:
+    """psi <- q diag(phase) q^T psi, in place, for a real orthogonal q.
+
+    ``psi`` and ``work`` are C-contiguous complex (dim, N) arrays.  Because q
+    is real it acts on real and imaginary parts alike, so each product is
+    one real GEMM on the (dim, 2N) float view of the state.
+    """
+    np.matmul(q.T, psi.view(np.float64), out=work.view(np.float64))
+    work *= phase[:, None]
+    np.matmul(q, work.view(np.float64), out=psi.view(np.float64))
+
+
 def propagate_detunings(system: SidebandSystem, pulse: PulseSpec,
                         initial: SpinMotionState, detunings: np.ndarray,
                         dt: float | None = None) -> np.ndarray:
@@ -211,16 +224,22 @@ def propagate_detunings(system: SidebandSystem, pulse: PulseSpec,
     matrix.  Each step is unitary, so the norm is conserved to machine
     precision, and symmetric, so the identity batch comes out as the
     transpose of the pulse unitary.
+
+    The loop keeps the states as columns of a (dim, N) array.  The coupling
+    eigenvectors q are real, so each rotation q diag(e^{i theta}) q^T is two
+    real GEMMs on the column-major float view of the state (dim x 2N), into
+    preallocated buffers; the rows are transposed back on return.
     """
     detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
     base, up_proj, c = system.hamiltonian_parts()
     diag = base[None, :] - np.multiply.outer(detunings, up_proj)  # (Nd, dim)
     amps = initial.amplitudes
-    psi = np.array(np.broadcast_to(
-        amps, np.broadcast_shapes(amps.shape, diag.shape)), dtype=complex)
+    shape = np.broadcast_shapes(amps.shape, diag.shape)
+    psi = np.array(np.broadcast_to(amps, shape).T, dtype=complex, order="C")
+    work = np.empty_like(psi)
     # Subtract the per-detuning mean: a constant on the diagonal is a global
     # phase and only the spread limits the split-step accuracy.
-    diag = diag - diag.mean(axis=1, keepdims=True)
+    diag = np.ascontiguousarray((diag - diag.mean(axis=1, keepdims=True)).T)
     if dt is None:
         scale = float(np.max(np.abs(diag))) + pulse.peak_rabi + abs(pulse.sweep)
         dt = min(0.05 / max(scale, 1.0), pulse.support / 400.0)
@@ -234,14 +253,13 @@ def propagate_detunings(system: SidebandSystem, pulse: PulseSpec,
         for i in range(n_steps):
             tm = (i + 0.5) * dt
             dd = pulse.instantaneous_detuning(tm) - pulse.detuning
-            half = np.exp(-0.5j * dt * (diag - dd * up_proj[None, :]))
+            half = np.exp(-0.5j * dt * (diag - dd * up_proj[:, None]))
             psi *= half
             omega = pulse.rabi(tm)
             if omega != 0.0:
-                rot = np.exp(0.5j * dt * omega * lam)
-                psi = (psi @ q) * rot[None, :] @ q.T
+                _rotate(psi, work, q, np.exp(0.5j * dt * omega * lam))
             psi *= half
-        return psi
+        return psi.T.copy()
 
     # Time-independent diagonal: merge adjacent half steps of the Strang
     # composition so each step costs one phase multiply and one rotation.
@@ -251,10 +269,9 @@ def propagate_detunings(system: SidebandSystem, pulse: PulseSpec,
     for i in range(n_steps):
         omega = pulse.rabi((i + 0.5) * dt)
         if omega != 0.0:
-            rot = np.exp(0.5j * dt * omega * lam)
-            psi = (psi @ q) * rot[None, :] @ q.T
+            _rotate(psi, work, q, np.exp(0.5j * dt * omega * lam))
         psi *= full if i < n_steps - 1 else half
-    return psi
+    return psi.T.copy()
 
 
 def evolve_pulse(system: SidebandSystem, pulse: PulseSpec,

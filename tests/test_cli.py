@@ -150,6 +150,25 @@ def test_fit_requires_input(tmp_path):
     assert run_cli(["fit", "--out", str(tmp_path)]) == 2
 
 
+def test_non_finite_result_exits_3(tmp_path, monkeypatch, capsys):
+    # fit_spectrum reports every stderr as NaN when J^T J is singular
+    from mwlattice import cli
+    from mwlattice.spectroscopy import FitResult
+    names = ["dx", "w_down", "du_tot", "t2d"]
+    singular = FitResult(params=dict.fromkeys(names, 1.0),
+                         stderr=dict.fromkeys(names, math.nan), cost=0.5,
+                         success=True, message="converged")
+    monkeypatch.setattr(cli, "fit_spectrum", lambda *a, **kw: singular)
+    data = tmp_path / "data.csv"
+    data.write_text("detuning_khz,p\n-1,0.1\n0,0.5\n1,0.2\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fit": {"input_csv": str(data)}}))
+    assert run_cli(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "solver error: non-finite result results.stderr.dx = nan" in err
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"filter": {"atoms": 150}}))
