@@ -121,6 +121,24 @@ def test_cool_command_degenerate_kernel(tmp_path):
     assert meta["results"]["residual"] < 1e-10
 
 
+def test_cool_command_exits_3_on_a_corrupted_transient(tmp_path, monkeypatch,
+                                                      capsys):
+    # eigenvalues shifted by 1e-3 omega_vib grow the trace of the transient:
+    # evolve's trace check fails and no cool.json is written
+    original = np.linalg.eig
+
+    def corrupted(a):
+        w, v = original(a)
+        return w + 1e-3, v
+
+    monkeypatch.setattr(np.linalg, "eig", corrupted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cool": {"n_max": 5, "evolve_ms": 0.1}}))
+    assert run_cli(["cool", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "trace" in capsys.readouterr().err
+    assert not (tmp_path / "cool.json").exists()
+
+
 def test_engineer_superposition_command(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(

@@ -229,15 +229,26 @@ def test_evolution_preserves_trace_and_positivity():
     rho.validate(tol=1e-8)
 
 
-def test_evolution_above_the_dense_size_matches_ode():
-    # n_max 13: the generator is 1764^2, above the 1600^2 limit of the dense
-    # eig path, so evolve takes expm_multiply; the reference integrates the
-    # same sparse generator with DOP853
+def test_evolution_above_the_dense_size_matches_ode(monkeypatch):
+    # n_max 13: the thermal start's group holds 4 * 14^2 + 14 = 798 entries;
+    # with the dense limit set below that, evolve takes expm_multiply on the
+    # group's sub-block; the reference integrates the full sparse generator
+    # with DOP853
+    calls = []
+    original = cooling.expm_multiply
+
+    def recording(a, b):
+        calls.append(a.shape)
+        return original(a, b)
+
+    monkeypatch.setattr(cooling, "DENSE_EIG_LIMIT", 797)
+    monkeypatch.setattr(cooling, "expm_multiply", recording)
     p = params(n_max=13)
     lio = build_liouvillian(p)
     assert lio.shape[0] == 1764
     rho0 = thermal_state(p, 1.0)
     final = evolve(p, rho0, 1e-4, lio)
+    assert calls == [(798, 798)]
     t = 1e-4 * p.omega_vib
     sol = solve_ivp(lambda _, y: lio @ y, (0.0, t),
                     rho0.reshape(-1).astype(complex), method="DOP853",
@@ -246,6 +257,110 @@ def test_evolution_above_the_dense_size_matches_ode():
     ref = sol.y[:, -1].reshape(p.dim, p.dim)
     assert np.abs(final.matrix - ref).max() < 1e-9
     final.validate(tol=1e-8)
+
+
+def full_generator_eig(p, rho0, duration, lio):
+    """Reference: the dense complex eig of the whole generator, the path
+    evolve took before it split the generator into invariant groups."""
+    t = duration * p.omega_vib
+    w, v = np.linalg.eig(lio.toarray())
+    vec = v @ (np.exp(w * t) * np.linalg.solve(v, rho0.reshape(-1)))
+    rho = vec.reshape(p.dim, p.dim)
+    return 0.5 * (rho + rho.conj().T)
+
+
+def random_state(dim, seed):
+    """Full-rank density matrix: every invariant group has weight."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("n_max, duration, full_rank", [
+    (5, 1e-3, True), (10, 1.0, False)])
+def test_evolution_matches_full_generator_eig(n_max, duration, full_rank):
+    p = params(n_max=n_max)
+    lio = build_liouvillian(p)
+    rho0 = random_state(p.dim, 3) if full_rank else thermal_state(p, 1.33)
+    final = evolve(p, rho0, duration, lio)
+    ref = full_generator_eig(p, rho0, duration, lio)
+    assert np.abs(final.matrix - ref).max() < 1e-8
+
+
+@pytest.mark.parametrize("duration", [1e-5, 1e-3])
+def test_full_rank_state_touches_every_group(monkeypatch, duration):
+    # eta_x 1.2 with a weak drive (see the slow-coherence test); every
+    # group is diagonalized, and the result matches both a DOP853
+    # integration and scipy's expm of the full complex generator.  At
+    # 10 us the coherences with |aux> have not yet decayed.
+    sizes = []
+    original = np.linalg.eig
+
+    def recording(a):
+        sizes.append(a.shape[0])
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eig", recording)
+    p = params(eta_x=1.2, omega_0=2 * math.pi * 5e3, n_max=5)
+    lio = build_liouvillian(p)
+    rho0 = random_state(p.dim, 7)
+    final = evolve(p, rho0, duration, lio)
+    assert sum(sizes) == p.dim ** 2
+    t = duration * p.omega_vib
+    v0 = rho0.reshape(-1)
+    sol = solve_ivp(lambda _, y: lio @ y, (0.0, t), v0, method="DOP853",
+                    rtol=1e-11, atol=1e-13)
+    assert sol.success
+    ode = sol.y[:, -1].reshape(p.dim, p.dim)
+    assert np.abs(final.matrix - ode).max() < 1e-8
+    dense = (expm(lio.toarray() * t) @ v0).reshape(p.dim, p.dim)
+    assert np.abs(final.matrix - dense).max() < 1e-8
+    final.validate(tol=1e-8)
+
+
+def test_thermal_start_diagonalizes_one_real_block(monkeypatch):
+    # the saving: a thermal start touches only the up/down block and the aux
+    # populations, (2 * 11)^2 + 11 = 495 entries of the 1089 at n_max 10
+    seen = []
+    original = np.linalg.eig
+
+    def recording(a):
+        seen.append((a.shape, a.dtype))
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eig", recording)
+    p = params(n_max=10)
+    evolve(p, thermal_state(p, 1.33), 1e-3)
+    assert seen == [((495, 495), np.dtype(float))]
+
+
+def test_evolve_rejects_wrong_shape():
+    p = params(n_max=5)
+    with pytest.raises(ValueError, match=r"shape \(12, 12\)"):
+        evolve(p, np.eye(12) / 12, 1e-4)
+
+
+@pytest.mark.parametrize("duration", [-1e-4, math.nan, math.inf])
+def test_evolve_rejects_bad_duration(duration):
+    p = params(n_max=5)
+    with pytest.raises(ValueError, match="duration"):
+        evolve(p, thermal_state(p, 1.0), duration)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda w: w + 1e-3, "trace"), (lambda w: w * np.nan, "not finite")])
+def test_evolve_checks_its_invariants(monkeypatch, corrupt, message):
+    original = np.linalg.eig
+
+    def corrupted(a):
+        w, v = original(a)
+        return corrupt(w), v
+
+    monkeypatch.setattr(np.linalg, "eig", corrupted)
+    p = params(n_max=5)
+    with pytest.raises(RuntimeError, match=message):
+        evolve(p, thermal_state(p, 1.0), 1e-4)
 
 
 def test_evolution_with_slow_coherences_matches_ode():
