@@ -81,6 +81,8 @@ class CoolingParams:
             raise ValueError("omega_0 >= 0 and omega_vib > 0 required")
         if any(b < 0 for b in self.branching) or abs(sum(self.branching) - 1.0) > 1e-9:
             raise ValueError("branching ratios must be >= 0 and sum to 1")
+        if self.n_max < 0:
+            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
 
     @property
     def levels(self) -> int:

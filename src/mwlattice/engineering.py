@@ -125,6 +125,10 @@ class HarmonicModel:
     n_max: int = 15
     dt: float | None = None
 
+    def __post_init__(self):
+        if self.n_max < 0:
+            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
+
     def coupling(self, eta_x: float) -> np.ndarray:
         """K[n_down, n_up] at the given shift."""
         return np.real(fcf_harmonic_matrix(complex(eta_x, 0.0), self.n_max))
@@ -168,6 +172,9 @@ def run_sequence(initial: SequenceState, steps: list[SequenceStep],
             continue   # rotating-frame phases are irrelevant to populations
         elif isinstance(step, MicrowavePulse):
             n_up, n_down = step.target
+            if not (0 <= n_up <= model.n_max and 0 <= n_down <= model.n_max):
+                raise ValueError(f"pulse target {step.target} outside the "
+                                 f"levels 0..{model.n_max}")
             detuning = (model.system(state.eta_x).resonance(n_up, n_down)
                         + step.detuning_offset)
             pulse = replace(step.pulse, detuning=detuning)
@@ -247,6 +254,8 @@ def superposition_sequence(model: HarmonicModel,
     |down,0> without touching the |down,2> component.  Both pulses are
     rectangular at ``SUPERPOSITION_RABI``.
     """
+    if model.n_max < 2:
+        raise ValueError(f"superposition needs n_max >= 2, got {model.n_max}")
     eta1 = coupling_maximizing_shift(model, 0, 2)
     k1 = abs(model.coupling(eta1)[2, 0])
     t1 = area * math.pi / (SUPERPOSITION_RABI * k1)

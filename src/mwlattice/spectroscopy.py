@@ -9,8 +9,9 @@ Basis ordering: index n = |up, n>, index (n_max+1) + n = |down, n>.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -248,29 +249,26 @@ def propagate_detunings(system: SidebandSystem, pulse: PulseSpec,
 
     lam, q = np.linalg.eigh(c)
 
-    chirped = pulse.envelope == "adiabatic_chirp"
-    if chirped:
-        for i in range(n_steps):
-            tm = (i + 0.5) * dt
-            dd = pulse.instantaneous_detuning(tm) - pulse.detuning
-            half = np.exp(-0.5j * dt * (diag - dd * up_proj[:, None]))
-            psi *= half
-            omega = pulse.rabi(tm)
-            if omega != 0.0:
-                _rotate(psi, work, q, np.exp(0.5j * dt * omega * lam))
-            psi *= half
-        return psi.T.copy()
-
-    # Time-independent diagonal: merge adjacent half steps of the Strang
-    # composition so each step costs one phase multiply and one rotation.
+    # Adjacent Strang half steps merge: the diagonal phases into ``full``,
+    # and a chirp's -(delta(t) - delta) P_up, which commutes with them, into
+    # one scalar phase on the up rows per step (never applied off a chirp).
+    m = system.energy_up.size
     half = np.exp(-0.5j * dt * diag)
     full = half * half
     psi *= half
+    dd_prev = 0.0
     for i in range(n_steps):
-        omega = pulse.rabi((i + 0.5) * dt)
+        tm = (i + 0.5) * dt
+        dd = pulse.instantaneous_detuning(tm) - pulse.detuning
+        if dd_prev + dd != 0.0:
+            psi[:m] *= cmath.exp(0.5j * dt * (dd_prev + dd))
+        omega = pulse.rabi(tm)
         if omega != 0.0:
             _rotate(psi, work, q, np.exp(0.5j * dt * omega * lam))
         psi *= full if i < n_steps - 1 else half
+        dd_prev = dd
+    if dd_prev != 0.0:
+        psi[:m] *= cmath.exp(0.5j * dt * dd_prev)
     return psi.T.copy()
 
 
@@ -359,12 +357,10 @@ class SpectrumPeak:
 
 @dataclass
 class SpectrumResult:
-    """Transfer probability vs microwave detuning, plus peak metadata."""
+    """Transfer probability vs microwave detuning."""
 
     detunings: np.ndarray     # rad/s
     transfer: np.ndarray      # [0, 1]
-    sigma: np.ndarray | None = None
-    peaks: list[SpectrumPeak] = field(default_factory=list)
 
     def locate_peaks(self, min_height: float = 0.02,
                      prominence: float = 0.02) -> list[SpectrumPeak]:
@@ -383,7 +379,6 @@ class SpectrumResult:
             else:
                 out.append(SpectrumPeak(float(self.detunings[i]),
                                         float(self.transfer[i])))
-        self.peaks = out
         return out
 
 
@@ -404,16 +399,14 @@ def _thermal_transfer(w_up: float, w_down: float, u_down_tot: float,
                       dx: float, ensemble: ThermalEnsemble,
                       atom: AtomConstants, lattice_wavelength: float,
                       pulse: PulseSpec, detunings: np.ndarray,
-                      cfg: SpectroscopyConfig,
-                      initial_populations: np.ndarray | None) -> np.ndarray:
+                      cfg: SpectroscopyConfig) -> np.ndarray:
     """Ensemble-averaged transfer from the up spin over the detuning grid.
 
     The forward model of both ``simulate_spectrum`` and ``fit_spectrum``.
     At each transverse node the depths are rescaled by the Gaussian beam
     profile (``beam_waist``), bands and Franck-Condon tables re-derived,
-    and every initial level propagated.  Without ``initial_populations``
-    the levels are Boltzmann-weighted at ``cfg.axial_temperature`` with the
-    node's up-spin trap frequency.
+    and every initial level propagated, Boltzmann-weighted at
+    ``cfg.axial_temperature`` with the node's up-spin trap frequency.
     """
     q_cut = cfg.q_cutoff or default_q_cutoff(w_up)
     # the waist depends on the up-spin depth only, not on the angle
@@ -428,13 +421,9 @@ def _thermal_transfer(w_up: float, w_down: float, u_down_tot: float,
             w_up * g, w_down * g, u_down_tot * g, dx, atom,
             lattice_wavelength, n_max=cfg.n_max, k_points=cfg.k_points,
             q_cutoff=q_cut)
-        if initial_populations is None:
-            pops = boltzmann_populations(
-                cfg.n_max, trap_frequency(w_up * g, atom, lattice_wavelength),
-                cfg.axial_temperature)
-        else:
-            pops = np.asarray(initial_populations, dtype=float)
-            pops = pops / pops.sum()
+        pops = boltzmann_populations(
+            cfg.n_max, trap_frequency(w_up * g, atom, lattice_wavelength),
+            cfg.axial_temperature)
         for n0, p0 in enumerate(pops):
             if p0 < 1e-6:
                 continue
@@ -447,7 +436,6 @@ def _thermal_transfer(w_up: float, w_down: float, u_down_tot: float,
 def simulate_spectrum(geom: LatticeGeometry, atom: AtomConstants,
                       pulse: PulseSpec, detunings: np.ndarray,
                       ensemble: ThermalEnsemble | None = None,
-                      initial_populations: np.ndarray | None = None,
                       cfg: SpectroscopyConfig = SpectroscopyConfig(),
                       ) -> SpectrumResult:
     """Thermal-weighted microwave spectrum starting from the up spin.
@@ -463,10 +451,8 @@ def simulate_spectrum(geom: LatticeGeometry, atom: AtomConstants,
     up, down, dx = potentials_from_angle(geom, atom)
     transfer = _thermal_transfer(up.contrast, down.contrast, down.total_depth,
                                  dx, ensemble, atom, geom.lattice_wavelength,
-                                 pulse, detunings, cfg, initial_populations)
-    result = SpectrumResult(detunings=detunings, transfer=transfer)
-    result.locate_peaks()
-    return result
+                                 pulse, detunings, cfg)
+    return SpectrumResult(detunings=detunings, transfer=transfer)
 
 
 def binomial_sigma(successes: np.ndarray, trials: int) -> np.ndarray:
@@ -495,7 +481,6 @@ def fit_spectrum(detunings: np.ndarray, observed: np.ndarray,
                  w_up: float, atom: AtomConstants, lattice_wavelength: float,
                  pulse: PulseSpec,
                  cfg: SpectroscopyConfig = SpectroscopyConfig(),
-                 initial_populations: np.ndarray | None = None,
                  max_nfev: int = 200) -> FitResult:
     """Weighted least squares over {dx, w_down, du_tot, t2d}.
 
@@ -514,7 +499,7 @@ def fit_spectrum(detunings: np.ndarray, observed: np.ndarray,
         ensemble = ThermalEnsemble(t2d, cfg.omega_rad, cfg.thermal_samples)
         model = _thermal_transfer(w_up, w_down, -w_up - du_tot, dx, ensemble,
                                   atom, lattice_wavelength, pulse, detunings,
-                                  cfg, initial_populations)
+                                  cfg)
         return (model - observed) / sigma
 
     lower = np.array([0.0, 1.0, -np.inf, 0.0]) / scale

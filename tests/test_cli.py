@@ -157,6 +157,25 @@ def test_engineer_bad_task_exit_code(tmp_path):
                     "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command, block, value", [
+    ("engineer", {"engineer": {"task": "fock", "fock_m": 20, "n_max": 4}},
+     "(0, 20)"),
+    ("engineer", {"engineer": {"task": "superposition", "n_max": 1}},
+     "got 1"),
+    ("engineer", {"engineer": {"task": "coherent", "n_max": -1}},
+     "got -1"),
+    ("cool", {"cool": {"n_max": -1}}, "got -1"),
+], ids=["fock_m_above_n_max", "superposition_n_max_1",
+        "engineer_n_max_negative", "cool_n_max_negative"])
+def test_out_of_range_input_exits_3(tmp_path, capsys, command, block, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(block))
+    assert run_cli([command, "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 3
+    assert value in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
 def test_filter_command_reports_f_prime(tmp_path):
     assert run_cli(["filter", "--out", str(tmp_path)]) == 0
     meta = json.loads((tmp_path / "filter.json").read_text())

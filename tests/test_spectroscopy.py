@@ -143,14 +143,19 @@ def test_propagator_matches_row_major_reference(envelope):
              + 1j * rng.standard_normal((detunings.size, system.dim)))
     batch /= np.linalg.norm(batch, axis=1, keepdims=True)
     cases = [  # one state on a grid, a batch of B = N_d, the identity batch
-        (SpinMotionState.basis(6, "up", 0).amplitudes, detunings),
-        (batch, detunings),
-        (np.eye(system.dim, dtype=complex), [pulse.detuning]),
+        (SpinMotionState.basis(6, "up", 0).amplitudes, detunings, 2e-7),
+        (batch, detunings, 2e-7),
+        (np.eye(system.dim, dtype=complex), [pulse.detuning], 2e-7),
     ]
-    for amps, dets in cases:
+    if envelope == "adiabatic_chirp":
+        # one and two steps: the first and last up-row phases carry the
+        # whole chirp
+        cases += [(batch, detunings, pulse.support),
+                  (batch, detunings, pulse.support / 2)]
+    for amps, dets, dt in cases:
         out = propagate_detunings(system, pulse, SpinMotionState(amps), dets,
-                                  dt=2e-7)
-        want = row_major_reference(system, pulse, amps, dets, dt=2e-7)
+                                  dt=dt)
+        want = row_major_reference(system, pulse, amps, dets, dt=dt)
         assert out.shape == want.shape
         assert np.abs(out - want).max() < 1e-12
         assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() < 1e-12
