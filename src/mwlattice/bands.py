@@ -137,11 +137,14 @@ def solve_bands(depth: float, n_bands: int = 16, k_points: int = 64,
                 q_cutoff: int | None = None) -> BlochSpectrum:
     """Diagonalize the central equation for a lattice of the given depth.
 
-    The k grid is symmetric about zero and excludes the zone boundary
-    (k_j = -1 + (2j+1)/N_k), so every k has a -k partner and the phase-fixed
-    Wannier states come out real.  Every eigenpair is checked against the
-    full tridiagonal operator; a residual above ``RESIDUAL_TOL`` raises
-    ``BandSolverError`` naming the band and k.
+    The k grid k_j = (2j + 1 - N_k) / N_k is exactly antisymmetric and
+    excludes the zone boundary, so every k has a -k partner and the
+    phase-fixed Wannier states come out real.  Only k >= 0 is diagonalized:
+    the central equation at -k is the one at k with q reversed, so -k takes
+    the same energies and the q-reversed eigenvectors (an odd N_k solves
+    k = 0 once).  Every eigenpair, mirrored ones included, is checked
+    against the full tridiagonal operator; a residual above
+    ``RESIDUAL_TOL`` raises ``BandSolverError`` naming the band and k.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -150,26 +153,31 @@ def solve_bands(depth: float, n_bands: int = 16, k_points: int = 64,
     if n_bands > 2 * q_cutoff + 1:
         raise ValueError("n_bands exceeds plane-wave basis size")
 
-    k_grid = -1.0 + (2.0 * np.arange(k_points) + 1.0) / k_points
+    k_grid = (2.0 * np.arange(k_points) + 1.0 - k_points) / k_points
     n_q = 2 * q_cutoff + 1
     coeffs = np.empty((k_points, n_bands, n_q), dtype=complex)
     energies = np.empty((k_points, n_bands))
     q = np.arange(-q_cutoff, q_cutoff + 1)
-    for j, k in enumerate(k_grid):
-        vals, vecs = _solve_single_k(k, depth, n_bands, q_cutoff)
-        # Residual check against the full operator, all bands at once.
-        hv = ((k + 2.0 * q) ** 2 + depth / 2.0) * vecs
-        hv[:, 1:] += -depth / 4.0 * vecs[:, :-1]
-        hv[:, :-1] += -depth / 4.0 * vecs[:, 1:]
-        res = np.linalg.norm(hv - vals[:, None] * vecs, axis=1)
-        tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))
-        bad = np.flatnonzero(res > tol)
-        if bad.size:
-            n = bad[0]
-            raise BandSolverError(f"eigen-residual {res[n]:.2e} above "
-                                  f"tolerance at band {n}, k={k:.4f}")
-        energies[j] = vals
-        coeffs[j] = _fix_phases(vecs)
+    for j in range((k_points + 1) // 2):     # k_j <= 0, mirror k >= 0
+        mirror = k_points - 1 - j
+        vals, vecs = _solve_single_k(k_grid[mirror], depth, n_bands, q_cutoff)
+        pairs = ([(mirror, vecs)] if j == mirror
+                 else [(j, vecs[:, ::-1]), (mirror, vecs)])
+        for i, v in pairs:
+            k = k_grid[i]
+            # Residual check against the full operator, all bands at once.
+            hv = ((k + 2.0 * q) ** 2 + depth / 2.0) * v
+            hv[:, 1:] += -depth / 4.0 * v[:, :-1]
+            hv[:, :-1] += -depth / 4.0 * v[:, 1:]
+            res = np.linalg.norm(hv - vals[:, None] * v, axis=1)
+            tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))
+            bad = np.flatnonzero(res > tol)
+            if bad.size:
+                n = bad[0]
+                raise BandSolverError(f"eigen-residual {res[n]:.2e} above "
+                                      f"tolerance at band {n}, k={k:.4f}")
+            energies[i] = vals
+            coeffs[i] = _fix_phases(v)
     return BlochSpectrum(depth=float(depth), n_bands=n_bands, k_grid=k_grid,
                          q_cutoff=q_cutoff, coefficients=coeffs,
                          energies=energies)

@@ -238,6 +238,8 @@ def prepare_fock(model: HarmonicModel, m: int) -> tuple[SequenceState, float]:
     """|up,0> -> |down,m> by adiabatic passage (``FOCK_CHIRP``) on the m-th
     sideband at the coupling-maximizing shift sqrt(m), where the coupling
     is never zero.  Returns (final state, fidelity)."""
+    if m < 0:
+        raise ValueError(f"Fock level m must be >= 0, got {m}")
     eta = coupling_maximizing_shift(model, 0, m)
     steps = [LatticeShift(eta), MicrowavePulse(FOCK_CHIRP, target=(0, m))]
     state = run_sequence(SequenceState.pure(model.n_max, "up", 0), steps, model)

@@ -62,16 +62,18 @@ class PulseSpec:
             return 4.0 * self.fwhm
         return self.duration
 
-    def rabi(self, t: float) -> float:
-        """Instantaneous Rabi frequency Omega(t) on [0, support]."""
+    def rabi(self, t):
+        """Instantaneous Rabi frequency Omega(t) on [0, support]; ``t`` is a
+        time or an array of times."""
+        t = np.asarray(t, dtype=float)
         if self.envelope == "gaussian":
             tc = self.support / 2.0
-            return self.peak_rabi * math.exp(-FOUR_LN2 * (t - tc) ** 2 / self.fwhm ** 2)
+            return self.peak_rabi * np.exp(-FOUR_LN2 * (t - tc) ** 2 / self.fwhm ** 2)
         if self.envelope == "rectangular":
-            return self.peak_rabi
-        return self.peak_rabi * math.sin(math.pi * t / self.duration) ** 2
+            return np.full(t.shape, self.peak_rabi)
+        return self.peak_rabi * np.sin(math.pi * t / self.duration) ** 2
 
-    def instantaneous_detuning(self, t: float) -> float:
+    def instantaneous_detuning(self, t):
         if self.envelope == "adiabatic_chirp":
             return self.detuning + self.sweep * (t / self.duration - 0.5)
         return self.detuning
@@ -200,17 +202,92 @@ def system_from_potentials(w_up: float, w_down: float, u_down_tot: float,
     return SidebandSystem(energy_up=eps_up, energy_down=eps_down, fc_matrix=fc)
 
 
-def _rotate(psi: np.ndarray, work: np.ndarray, q: np.ndarray,
-            phase: np.ndarray) -> None:
-    """psi <- q diag(phase) q^T psi, in place, for a real orthogonal q.
+# Steps whose Rabi frequencies and rotation phases are tabulated at once:
+# enough to amortize the numpy calls, few enough that the tables stay small
+# for a pulse of any length.
+SCHEDULE_CHUNK = 64
 
-    ``psi`` and ``work`` are C-contiguous complex (dim, N) arrays.  Because q
-    is real it acts on real and imaginary parts alike, so each product is
-    one real GEMM on the (dim, 2N) float view of the state.
+# Complex amplitudes of the systems that step together.  Stacking systems
+# spreads the fixed cost of a step over them; past about this many the
+# state, its diagonal phases and the work buffer no longer stay in a
+# core's cache and a step costs more per system than it saves.
+STACK_BLOCK = 1 << 15
+
+
+def _strang(lam: np.ndarray, q: np.ndarray, diag: np.ndarray,
+            psi: np.ndarray, pulse: PulseSpec, dt: float | None) -> None:
+    """Propagate a stack of S systems through the pulse, in place.
+
+    ``lam`` (S, dim) and ``q`` (S, dim, dim) are the eigenpairs of each
+    system's coupling matrix, ``diag`` (S, dim, N) (N may broadcast) the
+    diagonal of the Hamiltonian of each column, overwritten with its
+    spread about the column mean, and ``psi`` the C-contiguous complex
+    (S, dim, N) states.  ``dt`` None takes the automatic step of the
+    system with the widest spectrum, so no system gets a coarser step than
+    it would alone.  The stack runs in blocks of at most ``STACK_BLOCK``
+    amplitudes, each through the whole pulse.
     """
-    np.matmul(q.T, psi.view(np.float64), out=work.view(np.float64))
-    work *= phase[:, None]
-    np.matmul(q, work.view(np.float64), out=psi.view(np.float64))
+    # Subtract the per-column mean: a constant on the diagonal is a global
+    # phase and only the spread limits the split-step accuracy.
+    diag -= diag.mean(axis=1, keepdims=True)
+    if dt is None:
+        scale = float(np.max(np.abs(diag))) + pulse.peak_rabi + abs(pulse.sweep)
+        dt = min(0.05 / max(scale, 1.0), pulse.support / 400.0)
+    n_steps = max(1, int(math.ceil(pulse.support / dt)))
+    dt = pulse.support / n_steps
+    n_sys = psi.shape[0]
+    per_block = max(1, STACK_BLOCK // (psi.shape[1] * psi.shape[2]))
+    for block in np.array_split(np.arange(n_sys), -(-n_sys // per_block)):
+        b = slice(block[0], block[-1] + 1)
+        _strang_steps(lam[b], q[b], diag[b], psi[b], pulse, dt, n_steps)
+
+
+def _strang_steps(lam: np.ndarray, q: np.ndarray, diag: np.ndarray,
+                  psi: np.ndarray, pulse: PulseSpec, dt: float,
+                  n_steps: int) -> None:
+    """The Strang loop of ``_strang`` on one block of systems.
+
+    Second-order splitting with exact diagonal phases and the exact
+    coupling rotation q diag(e^{i theta}) q^T, which for the real q is two
+    real GEMMs per system on the (dim, 2N) float view of its states.  The
+    step schedule (Rabi frequencies, chirp phases and rotation phases) is
+    computed with numpy ``SCHEDULE_CHUNK`` steps at a time.
+    """
+    # Adjacent Strang half steps merge: the diagonal phases into ``full``,
+    # and a chirp's -(delta(t) - delta) P_up, which commutes with them, into
+    # one scalar phase on the up rows per step (never applied off a chirp).
+    m = psi.shape[1] // 2
+    chirp = pulse.envelope == "adiabatic_chirp"
+    full = np.multiply(diag, -0.5j * dt, dtype=complex)
+    np.exp(full, out=full)
+    psi *= full
+    full *= full       # the half steps' phases squared; the last is redone
+    qt = np.ascontiguousarray(np.swapaxes(q, 1, 2))
+    work = np.empty_like(psi)
+    psi_f, work_f = psi.view(np.float64), work.view(np.float64)
+    dd_prev = 0.0
+    for start in range(0, n_steps, SCHEDULE_CHUNK):
+        steps = range(start, min(start + SCHEDULE_CHUNK, n_steps))
+        tm = (np.arange(steps.start, steps.stop) + 0.5) * dt
+        omega = pulse.rabi(tm)
+        rotation = np.exp(0.5j * dt * omega[:, None, None] * lam)[..., None]
+        if chirp:
+            dd = pulse.instantaneous_detuning(tm) - pulse.detuning
+            merged = np.concatenate(([dd_prev], dd[:-1])) + dd
+            up_phase = np.exp(0.5j * dt * merged)
+            dd_prev = float(dd[-1])
+        for j, (i, om) in enumerate(zip(steps, omega.tolist())):
+            if chirp and merged[j] != 0.0:
+                psi[:, :m] *= up_phase[j]
+            if om != 0.0:
+                np.matmul(qt, psi_f, out=work_f)
+                work *= rotation[j]
+                np.matmul(q, work_f, out=psi_f)
+            if i == n_steps - 1:
+                np.exp(np.multiply(diag, -0.5j * dt, out=full), out=full)
+            psi *= full
+    if dd_prev != 0.0:
+        psi[:, :m] *= cmath.exp(0.5j * dt * dd_prev)
 
 
 def propagate_detunings(system: SidebandSystem, pulse: PulseSpec,
@@ -226,50 +303,22 @@ def propagate_detunings(system: SidebandSystem, pulse: PulseSpec,
     precision, and symmetric, so the identity batch comes out as the
     transpose of the pulse unitary.
 
-    The loop keeps the states as columns of a (dim, N) array.  The coupling
-    eigenvectors q are real, so each rotation q diag(e^{i theta}) q^T is two
-    real GEMMs on the column-major float view of the state (dim x 2N), into
-    preallocated buffers; the rows are transposed back on return.
+    This is the one-system case of the stacked Strang loop that the thermal
+    spectra and the fit's Jacobian also run: the states are the columns of
+    a (dim, N) array, the step schedule (Rabi frequencies, chirp phases and
+    rotation phases) is computed with numpy a chunk of steps at a time, and
+    the rows are transposed back on return.
     """
     detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
     base, up_proj, c = system.hamiltonian_parts()
     diag = base[None, :] - np.multiply.outer(detunings, up_proj)  # (Nd, dim)
     amps = initial.amplitudes
     shape = np.broadcast_shapes(amps.shape, diag.shape)
-    psi = np.array(np.broadcast_to(amps, shape).T, dtype=complex, order="C")
-    work = np.empty_like(psi)
-    # Subtract the per-detuning mean: a constant on the diagonal is a global
-    # phase and only the spread limits the split-step accuracy.
-    diag = np.ascontiguousarray((diag - diag.mean(axis=1, keepdims=True)).T)
-    if dt is None:
-        scale = float(np.max(np.abs(diag))) + pulse.peak_rabi + abs(pulse.sweep)
-        dt = min(0.05 / max(scale, 1.0), pulse.support / 400.0)
-    n_steps = max(1, int(math.ceil(pulse.support / dt)))
-    dt = pulse.support / n_steps
-
+    psi = np.array(np.broadcast_to(amps, shape).T[None], dtype=complex,
+                   order="C")
     lam, q = np.linalg.eigh(c)
-
-    # Adjacent Strang half steps merge: the diagonal phases into ``full``,
-    # and a chirp's -(delta(t) - delta) P_up, which commutes with them, into
-    # one scalar phase on the up rows per step (never applied off a chirp).
-    m = system.energy_up.size
-    half = np.exp(-0.5j * dt * diag)
-    full = half * half
-    psi *= half
-    dd_prev = 0.0
-    for i in range(n_steps):
-        tm = (i + 0.5) * dt
-        dd = pulse.instantaneous_detuning(tm) - pulse.detuning
-        if dd_prev + dd != 0.0:
-            psi[:m] *= cmath.exp(0.5j * dt * (dd_prev + dd))
-        omega = pulse.rabi(tm)
-        if omega != 0.0:
-            _rotate(psi, work, q, np.exp(0.5j * dt * omega * lam))
-        psi *= full if i < n_steps - 1 else half
-        dd_prev = dd
-    if dd_prev != 0.0:
-        psi[:m] *= cmath.exp(0.5j * dt * dd_prev)
-    return psi.T.copy()
+    _strang(lam[None], q[None], diag.T[None], psi, pulse, dt)
+    return psi[0].T.copy()
 
 
 def evolve_pulse(system: SidebandSystem, pulse: PulseSpec,
@@ -395,26 +444,27 @@ class SpectroscopyConfig:
     dt: float | None = None          # s; None = automatic step size
 
 
-def _thermal_transfer(w_up: float, w_down: float, u_down_tot: float,
-                      dx: float, ensemble: ThermalEnsemble,
-                      atom: AtomConstants, lattice_wavelength: float,
-                      pulse: PulseSpec, detunings: np.ndarray,
-                      cfg: SpectroscopyConfig) -> np.ndarray:
-    """Ensemble-averaged transfer from the up spin over the detuning grid.
+def _thermal_systems(w_up: float, w_down: float, u_down_tot: float,
+                     dx: float, ensemble: ThermalEnsemble,
+                     atom: AtomConstants, lattice_wavelength: float,
+                     cfg: SpectroscopyConfig
+                     ) -> list[tuple[SidebandSystem, int, float]]:
+    """(system, initial up level, weight) of every populated thermal state.
 
-    The forward model of both ``simulate_spectrum`` and ``fit_spectrum``.
-    At each transverse node the depths are rescaled by the Gaussian beam
-    profile (``beam_waist``), bands and Franck-Condon tables re-derived,
-    and every initial level propagated, Boltzmann-weighted at
-    ``cfg.axial_temperature`` with the node's up-spin trap frequency.
+    With ``_stacked_transfers``, the forward model of both
+    ``simulate_spectrum`` and ``fit_spectrum``.  At each transverse node the
+    depths are rescaled by the Gaussian beam profile (``beam_waist``) and
+    the bands and Franck-Condon tables re-derived; each initial level with
+    Boltzmann population >= 1e-6 at ``cfg.axial_temperature`` (with the
+    node's up-spin trap frequency) is one entry, weighted by node weight
+    times population.
     """
     q_cut = cfg.q_cutoff or default_q_cutoff(w_up)
     # the waist depends on the up-spin depth only, not on the angle
     waist = beam_waist(LatticeGeometry(lattice_wavelength, w_up, 0.0), atom,
                        ensemble.omega_rad)
     rhos, weights = ensemble.nodes(atom)
-    m = cfg.n_max + 1
-    transfer = np.zeros(detunings.size)
+    entries = []
     for rho, w_rho in zip(rhos, weights):
         g = radial_depth_scale(rho, waist)
         system = system_from_potentials(
@@ -424,13 +474,43 @@ def _thermal_transfer(w_up: float, w_down: float, u_down_tot: float,
         pops = boltzmann_populations(
             cfg.n_max, trap_frequency(w_up * g, atom, lattice_wavelength),
             cfg.axial_temperature)
-        for n0, p0 in enumerate(pops):
-            if p0 < 1e-6:
-                continue
-            psi0 = SpinMotionState.basis(cfg.n_max, "up", n0)
-            out = propagate_detunings(system, pulse, psi0, detunings, dt=cfg.dt)
-            transfer += w_rho * p0 * np.sum(np.abs(out[:, m:]) ** 2, axis=1)
-    return transfer
+        entries += [(system, n0, w_rho * p0) for n0, p0 in enumerate(pops)
+                    if p0 >= 1e-6]
+    return entries
+
+
+def _stacked_transfers(groups: list[list[tuple[SidebandSystem, int, float]]],
+                       pulse: PulseSpec, detunings: np.ndarray,
+                       dt: float | None) -> list[np.ndarray]:
+    """Weighted transfer from the up spin of each group of thermal states.
+
+    Every entry of every group is one system of a single stacked Strang
+    loop over the detuning grid.
+    """
+    entries = [e for group in groups for e in group]
+    dim = entries[0][0].dim
+    lam = np.empty((len(entries), dim))
+    q = np.empty((len(entries), dim, dim))
+    diag = np.empty((len(entries), dim, detunings.size))
+    psi = np.zeros((len(entries), dim, detunings.size), dtype=complex)
+    eig = {}
+    for s, (system, n0, _) in enumerate(entries):
+        base, up_proj, c = system.hamiltonian_parts()
+        if id(system) not in eig:
+            eig[id(system)] = np.linalg.eigh(c)
+        lam[s], q[s] = eig[id(system)]
+        diag[s] = base[:, None] - np.multiply.outer(up_proj, detunings)
+        psi[s, n0] = 1.0
+    _strang(lam, q, diag, psi, pulse, dt)
+    down = np.sum(np.abs(psi[:, dim // 2:]) ** 2, axis=1)       # (S, Nd)
+    out, s = [], 0
+    for group in groups:
+        transfer = np.zeros(detunings.size)
+        for _, _, weight in group:
+            transfer += weight * down[s]
+            s += 1
+        out.append(transfer)
+    return out
 
 
 def simulate_spectrum(geom: LatticeGeometry, atom: AtomConstants,
@@ -442,16 +522,16 @@ def simulate_spectrum(geom: LatticeGeometry, atom: AtomConstants,
 
     For each frozen transverse radius the depths are rescaled, bands and
     Franck-Condon tables re-derived, and the pulse propagated over the whole
-    detuning grid at once.  Valid when omega_rad << Omega_0 (frozen-position
-    approximation).
+    detuning grid, every radius in one stacked loop.  Valid when
+    omega_rad << Omega_0 (frozen-position approximation).
     """
     detunings = np.asarray(detunings, dtype=float)
     if ensemble is None:
         ensemble = ThermalEnsemble(0.0, cfg.omega_rad, 1)
     up, down, dx = potentials_from_angle(geom, atom)
-    transfer = _thermal_transfer(up.contrast, down.contrast, down.total_depth,
-                                 dx, ensemble, atom, geom.lattice_wavelength,
-                                 pulse, detunings, cfg)
+    states = _thermal_systems(up.contrast, down.contrast, down.total_depth,
+                              dx, ensemble, atom, geom.lattice_wavelength, cfg)
+    transfer = _stacked_transfers([states], pulse, detunings, cfg.dt)[0]
     return SpectrumResult(detunings=detunings, transfer=transfer)
 
 
@@ -476,6 +556,67 @@ class FitResult:
     message: str
 
 
+# Relative finite-difference step of the fit's Jacobian (least_squares'
+# ``diff_step``), and the fallback relative step where it rounds to zero.
+DIFF_STEP = 1e-4
+FALLBACK_STEP = math.sqrt(np.finfo(float).eps)
+
+FIT_NAMES = ("dx", "w_down", "du_tot", "t2d")
+
+
+def _fit_problem(detunings: np.ndarray, observed: np.ndarray,
+                 sigma: np.ndarray, initial_guess: dict[str, float],
+                 w_up: float, atom: AtomConstants, lattice_wavelength: float,
+                 pulse: PulseSpec, cfg: SpectroscopyConfig):
+    """(residuals, jacobian, z0, lower, scale) of the scaled fit problem.
+
+    The parameters are z = theta / scale.  ``jacobian(z)`` forms the forward
+    differences of scipy's '2-point' rule at relative step ``DIFF_STEP``
+    (``_numdiff._compute_absolute_step`` and ``_adjust_scheme_to_bounds``):
+    h = DIFF_STEP * sign(z) |z| with sign(0) = +1, falling back to
+    FALLBACK_STEP * sign(z) max(1, |z|) where z + h rounds to z, reversed
+    where z + h leaves the bounds, and divided by the re-rounded step
+    (z + h) - z.  The perturbed points' thermal states all run in one
+    stacked Strang loop; f(z) comes from the last residual call when that
+    was at the same z.
+    """
+    x0 = np.array([initial_guess[k] for k in FIT_NAMES], dtype=float)
+    scale = np.array([max(abs(v), 1e-3) for v in x0])
+    lower = np.array([0.0, 1.0, -np.inf, 0.0]) / scale
+
+    def states(z):
+        dx, w_down, du_tot, t2d = z * scale
+        ensemble = ThermalEnsemble(t2d, cfg.omega_rad, cfg.thermal_samples)
+        return _thermal_systems(w_up, w_down, -w_up - du_tot, dx, ensemble,
+                                atom, lattice_wavelength, cfg)
+
+    last = {}
+
+    def residuals(z):
+        model = _stacked_transfers([states(z)], pulse, detunings, cfg.dt)[0]
+        f = (model - observed) / sigma
+        last["z"], last["f"] = np.array(z, dtype=float), f
+        return f
+
+    def jacobian(z):
+        z = np.asarray(z, dtype=float)
+        f0 = last["f"] if np.array_equal(last.get("z"), z) else residuals(z)
+        sign = np.where(z >= 0, 1.0, -1.0)
+        h = DIFF_STEP * sign * np.abs(z)
+        h = np.where((z + h) - z == 0,
+                     FALLBACK_STEP * sign * np.maximum(1.0, np.abs(z)), h)
+        h = np.where(z + h < lower, -h, h)
+        points = np.tile(z, (z.size, 1))
+        points[np.diag_indices(z.size)] += h
+        models = _stacked_transfers([states(p) for p in points], pulse,
+                                    detunings, cfg.dt)
+        columns = [((mdl - observed) / sigma - f0) / ((zi + hi) - zi)
+                   for mdl, zi, hi in zip(models, z, h)]
+        return np.column_stack(columns)
+
+    return residuals, jacobian, x0 / scale, lower, scale
+
+
 def fit_spectrum(detunings: np.ndarray, observed: np.ndarray,
                  sigma: np.ndarray, initial_guess: dict[str, float],
                  w_up: float, atom: AtomConstants, lattice_wavelength: float,
@@ -484,27 +625,21 @@ def fit_spectrum(detunings: np.ndarray, observed: np.ndarray,
                  max_nfev: int = 200) -> FitResult:
     """Weighted least squares over {dx, w_down, du_tot, t2d}.
 
-    ``dx`` in units of d, depths in E_R, ``t2d`` in kelvin.  Standard errors
-    come from the Jacobian at the solution (linearized covariance).
+    ``dx`` in units of d, depths in E_R, ``t2d`` in kelvin.  The Jacobian is
+    the forward difference of ``_fit_problem``, whose perturbed points run in
+    one stacked propagation, so a Jacobian costs one pass of the stacked
+    loop rather than four objective calls.  The sigma are absolute errors,
+    so the covariance is inv(J^T J), widened by chi^2/dof when that exceeds
+    1 (the model fits worse than the errors allow) and never narrowed.
     """
-    names = ["dx", "w_down", "du_tot", "t2d"]
-    x0 = np.array([initial_guess[k] for k in names], dtype=float)
     detunings = np.asarray(detunings, dtype=float)
     observed = np.asarray(observed, dtype=float)
     sigma = np.maximum(np.asarray(sigma, dtype=float), 1e-4)
-    scale = np.array([max(abs(v), 1e-3) for v in x0])
-
-    def residuals(z):
-        dx, w_down, du_tot, t2d = z * scale
-        ensemble = ThermalEnsemble(t2d, cfg.omega_rad, cfg.thermal_samples)
-        model = _thermal_transfer(w_up, w_down, -w_up - du_tot, dx, ensemble,
-                                  atom, lattice_wavelength, pulse, detunings,
-                                  cfg)
-        return (model - observed) / sigma
-
-    lower = np.array([0.0, 1.0, -np.inf, 0.0]) / scale
-    res = least_squares(residuals, x0 / scale, bounds=(lower, np.inf),
-                        diff_step=1e-4, xtol=1e-12, ftol=1e-12, gtol=1e-12,
+    residuals, jacobian, z0, lower, scale = _fit_problem(
+        detunings, observed, sigma, initial_guess, w_up, atom,
+        lattice_wavelength, pulse, cfg)
+    res = least_squares(residuals, z0, jac=jacobian, bounds=(lower, np.inf),
+                        xtol=1e-12, ftol=1e-12, gtol=1e-12,
                         max_nfev=max_nfev)
     theta = res.x * scale
     # covariance from J^T J of the scaled problem (z = theta / scale), whose
@@ -513,7 +648,7 @@ def fit_spectrum(detunings: np.ndarray, observed: np.ndarray,
     jtj = res.jac.T @ res.jac
     dof = max(1, detunings.size - 4)
     try:
-        cov = np.linalg.inv(jtj) * 2 * res.cost / dof
+        cov = np.linalg.inv(jtj) * max(1.0, 2 * res.cost / dof)
         err = scale * np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         err = np.full(4, np.nan)
@@ -521,6 +656,6 @@ def fit_spectrum(detunings: np.ndarray, observed: np.ndarray,
     message = res.message
     if np.linalg.cond(jtj) > 1e12:
         message += " [degenerate Jacobian]"
-    return FitResult(params=dict(zip(names, theta)),
-                     stderr=dict(zip(names, err)),
+    return FitResult(params=dict(zip(FIT_NAMES, theta)),
+                     stderr=dict(zip(FIT_NAMES, err)),
                      cost=float(res.cost), success=success, message=message)

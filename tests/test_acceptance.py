@@ -182,7 +182,10 @@ FIT_PULSE = gaussian_pi_pulse(100e-6)
 FIT_GUESS = {"dx": 0.41, "w_down": 650.0, "du_tot": -99.0, "t2d": 1.01e-5}
 
 
-def _fit_truth_and_spectrum():
+@pytest.fixture(scope="module")
+def fit_truth_and_spectrum():
+    """Truth, detunings and noiseless model of both crit 06 fits, simulated
+    once (6 thermal nodes, 700 detunings)."""
     geom = LatticeGeometry(865.95, DEPTH_UP, 1.3167)
     up, down, dx = potentials_from_angle(geom, ATOM)
     truth = {"dx": dx, "w_down": down.contrast,
@@ -195,8 +198,8 @@ def _fit_truth_and_spectrum():
     return truth, det, model
 
 
-def test_criterion_06_fit_round_trip_noisy():
-    truth, det, model = _fit_truth_and_spectrum()
+def test_criterion_06_fit_round_trip_noisy(fit_truth_and_spectrum):
+    truth, det, model = fit_truth_and_spectrum
     atoms = 200
     rng = np.random.default_rng(SEED)
     observed = rng.binomial(atoms, np.clip(model, 0, 1)) / atoms
@@ -211,8 +214,8 @@ def test_criterion_06_fit_round_trip_noisy():
                                                for k, v in devs.items()))
 
 
-def test_criterion_06_fit_round_trip_zero_noise():
-    truth, det, model = _fit_truth_and_spectrum()
+def test_criterion_06_fit_round_trip_zero_noise(fit_truth_and_spectrum):
+    truth, det, model = fit_truth_and_spectrum
     sigma = np.sqrt(np.clip(model * (1 - model), 0.005 * 0.995, None) / 100)
     result = fit_spectrum(det, model, sigma, dict(FIT_GUESS), DEPTH_UP,
                           ATOM, 865.95, FIT_PULSE, cfg=FIT_CFG)

@@ -49,17 +49,17 @@ def test_band_gap_at_850():
 
 
 def test_wannier_real_normalized_parity():
-    spec = solve_bands(850.0, n_bands=4, k_points=32)
     x = np.linspace(-2 * math.pi, 2 * math.pi, 4001)
-    for n in range(4):
-        w = wannier(spec, n)
-        vals = w(x)
-        assert np.abs(np.imag(vals)).max() < 1e-10
-        norm = trapezoid(np.abs(vals) ** 2, x)
-        assert norm == pytest.approx(1.0, abs=1e-6)
-        parity = (-1) ** n
-        sym = np.abs(vals - parity * vals[::-1]).max()
-        assert sym < 1e-8
+    for k_points in (32, 31):           # an odd grid holds k = 0
+        spec = solve_bands(850.0, n_bands=4, k_points=k_points)
+        for n in range(4):
+            vals = wannier(spec, n)(x)
+            assert np.abs(np.imag(vals)).max() < 1e-10
+            norm = trapezoid(np.abs(vals) ** 2, x)
+            assert norm == pytest.approx(1.0, abs=1e-6)
+            parity = (-1) ** n
+            sym = np.abs(vals - parity * vals[::-1]).max()
+            assert sym < 1e-8
 
 
 def test_wannier_orthonormality_matrix():
@@ -114,13 +114,32 @@ def loop_phase_fixed(vecs):
 
 @pytest.mark.parametrize("depth", [0.0, 3.0, 850.0])
 def test_phase_convention_matches_band_loop(depth):
+    # the solver diagonalizes |k| and takes k < 0 as the q-reversed vectors
     spec = solve_bands(depth, n_bands=8, k_points=8)
     q = spec.q_values
     for j, k in enumerate(spec.k_grid):
-        vecs = eigh_tridiagonal((k + 2.0 * q) ** 2 + depth / 2.0,
+        vecs = eigh_tridiagonal((abs(k) + 2.0 * q) ** 2 + depth / 2.0,
                                 np.full(q.size - 1, -depth / 4.0),
                                 select="i", select_range=(0, 7))[1].T
+        if k < 0:
+            vecs = vecs[:, ::-1]
         assert np.array_equal(spec.coefficients[j], loop_phase_fixed(vecs))
+
+
+@pytest.mark.parametrize("depth, k_points", [(850.0, 16), (850.0, 15),
+                                             (3.0, 8), (8000.0, 9)])
+def test_mirrored_bands_match_per_k_solve(depth, k_points):
+    spec = solve_bands(depth, n_bands=12, k_points=k_points)
+    assert np.array_equal(spec.k_grid, -spec.k_grid[::-1])
+    q = spec.q_values
+    for j, k in enumerate(spec.k_grid):
+        vals, vecs = eigh_tridiagonal((k + 2.0 * q) ** 2 + depth / 2.0,
+                                      np.full(q.size - 1, -depth / 4.0),
+                                      select="i", select_range=(0, 11))
+        assert np.abs(spec.coefficients[j]
+                      - loop_phase_fixed(vecs.T)).max() < 1e-14
+        assert np.abs(spec.energies[j] - vals).max() < 1e-14 * max(
+            1.0, np.abs(vals).max())
 
 
 def test_corrupted_eigenvector_raises_naming_band_and_k(monkeypatch):
@@ -129,14 +148,33 @@ def test_corrupted_eigenvector_raises_naming_band_and_k(monkeypatch):
     def corrupting(*args, **kwargs):
         vals, vecs = eigh_tridiagonal(*args, **kwargs)
         calls.append(1)
-        if len(calls) == 4:             # the fourth k of the grid
+        if len(calls) == 4:             # the fourth k solved, k_4 = +1/8
             vecs[:, 2] = np.roll(vecs[:, 2], 1)
         return vals, vecs
 
     monkeypatch.setattr(bands, "eigh_tridiagonal", corrupting)
-    k = -1.0 + 7.0 / 8.0                # k_3 of the 8-point grid
+    k = -1.0 + 7.0 / 8.0                # k_3 of the 8-point grid, its mirror
     with pytest.raises(BandSolverError, match=f"band 2, k={k:.4f}"):
         solve_bands(850.0, n_bands=4, k_points=8)
+
+
+@pytest.mark.parametrize("k_points, bad_k, named", [
+    (8, 0.625, "k=-0.6250"),            # the mirrored copy comes first
+    (7, 0.0, "k=0.0000"),               # k = 0 is solved once
+])
+def test_residual_check_covers_mirrored_k(monkeypatch, k_points, bad_k,
+                                          named):
+    solve = bands._solve_single_k
+
+    def corrupting(k, *args):
+        vals, vecs = solve(k, *args)
+        if k == bad_k:
+            vecs[1] = np.roll(vecs[1], 1)
+        return vals, vecs
+
+    monkeypatch.setattr(bands, "_solve_single_k", corrupting)
+    with pytest.raises(BandSolverError, match=f"band 1, {named}"):
+        solve_bands(850.0, n_bands=4, k_points=k_points)
 
 
 def direct_sum_wannier(ws, x):

@@ -160,12 +160,14 @@ def test_engineer_bad_task_exit_code(tmp_path):
 @pytest.mark.parametrize("command, block, value", [
     ("engineer", {"engineer": {"task": "fock", "fock_m": 20, "n_max": 4}},
      "(0, 20)"),
+    ("engineer", {"engineer": {"task": "fock", "fock_m": -1}},
+     "m must be >= 0, got -1"),
     ("engineer", {"engineer": {"task": "superposition", "n_max": 1}},
      "got 1"),
     ("engineer", {"engineer": {"task": "coherent", "n_max": -1}},
      "got -1"),
     ("cool", {"cool": {"n_max": -1}}, "got -1"),
-], ids=["fock_m_above_n_max", "superposition_n_max_1",
+], ids=["fock_m_above_n_max", "fock_m_negative", "superposition_n_max_1",
         "engineer_n_max_negative", "cool_n_max_negative"])
 def test_out_of_range_input_exits_3(tmp_path, capsys, command, block, value):
     cfg = tmp_path / "cfg.json"

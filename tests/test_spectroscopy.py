@@ -1,11 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize._numdiff import approx_derivative
 
+from mwlattice.engineering import HarmonicModel
 from mwlattice.lattice import cesium, LatticeGeometry, potentials_from_angle
-from mwlattice.spectroscopy import (PulseSpec, SpectroscopyConfig,
-                                    SpinMotionState, ThermalEnsemble,
+from mwlattice.spectroscopy import (FIT_NAMES, STACK_BLOCK, PulseSpec,
+                                    SpectroscopyConfig, SpinMotionState,
+                                    ThermalEnsemble, _fit_problem, _strang,
+                                    _stacked_transfers, _thermal_systems,
                                     beam_waist, binomial_sigma,
                                     boltzmann_populations, build_system,
                                     evolve_pulse, fit_spectrum,
@@ -249,3 +254,149 @@ def test_fit_model_honours_axial_temperature():
                        pulse=pulse, cfg=cfg, max_nfev=1)
     # cost = sum(residual^2) / 2 with unit sigma: residuals below 1e-12
     assert fit.cost < 0.5 * detunings.size * 1e-24
+
+
+def thermal_states(n_nodes=3, axial_temperature=0.0, n_max=6):
+    """Populated thermal states of the 0.877 rad lattice at 10 uK."""
+    geom = LatticeGeometry(865.95, 850.0, 0.8770)
+    up, down, dx = potentials_from_angle(geom, ATOM)
+    cfg = SpectroscopyConfig(n_max=n_max, k_points=16,
+                             thermal_samples=n_nodes,
+                             axial_temperature=axial_temperature)
+    ens = ThermalEnsemble(10e-6, cfg.omega_rad, n_nodes)
+    return _thermal_systems(up.contrast, down.contrast, down.total_depth, dx,
+                            ens, ATOM, 865.95, cfg)
+
+
+def test_stacked_loop_matches_separate_calls():
+    # nodes at different depths, several initial levels at T_axial > 0, and
+    # a grid wide enough that the stack runs in more than one block
+    entries = thermal_states(axial_temperature=8e-6)
+    assert len({id(e[0]) for e in entries}) == 3 and len(entries) > 3
+    system0 = entries[0][0]
+    detunings = system0.resonance(0, 1) + 2 * math.pi * 1e3 * np.linspace(
+        -400.0, 300.0, 600)
+    assert len(entries) * system0.dim * detunings.size > 2 * STACK_BLOCK
+    pulse = gaussian_pi_pulse(30e-6)
+    got = _stacked_transfers([entries[:2], entries[2:]], pulse, detunings,
+                             dt=4e-7)
+    m = system0.n_max + 1
+    want = []
+    for group in (entries[:2], entries[2:]):
+        total = np.zeros(detunings.size)
+        for system, n0, weight in group:
+            out = propagate_detunings(
+                system, pulse, SpinMotionState.basis(system.n_max, "up", n0),
+                detunings, dt=4e-7)
+            total += weight * np.sum(np.abs(out[:, m:]) ** 2, axis=1)
+        want.append(total)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() < 1e-12
+
+
+def test_stacked_chirp_matches_separate_calls():
+    model = HarmonicModel(2 * math.pi * 60e3, n_max=5)
+    systems = [model.system(eta) for eta in (0.6, 1.1, 1.7)]
+    pulse = PulseSpec("adiabatic_chirp", peak_rabi=2 * math.pi * 20e3,
+                      detuning=systems[0].resonance(0, 1), duration=100e-6,
+                      sweep=2 * math.pi * 40e3)
+    dim = systems[0].dim
+    lam, q = zip(*(np.linalg.eigh(s.hamiltonian_parts()[2]) for s in systems))
+    diag = np.stack([s.hamiltonian_parts()[0] - pulse.detuning
+                     * s.hamiltonian_parts()[1] for s in systems])
+    psi = np.tile(np.eye(dim, dtype=complex), (3, 1, 1))
+    _strang(np.array(lam), np.array(q), diag[:, :, None], psi, pulse, 3e-7)
+    for system, u in zip(systems, psi):
+        one = propagate_detunings(system, pulse,
+                                  SpinMotionState(np.eye(dim, dtype=complex)),
+                                  [pulse.detuning], dt=3e-7)
+        assert np.abs(u - one.T).max() < 1e-12
+
+
+def test_stack_matches_ode_integrator_on_a_grid():
+    entries = thermal_states(n_nodes=2)
+    pulse = gaussian_pi_pulse(30e-6)
+    system0 = entries[0][0]
+    detunings = np.array([system0.resonance(0, 1), system0.resonance(0, 2)
+                          + 2 * math.pi * 3e3])
+    got = _stacked_transfers([entries], pulse, detunings, dt=5e-8)[0]
+    want = np.zeros(detunings.size)
+    for system, n0, weight in entries:
+        for i, d in enumerate(detunings):
+            final = evolve_pulse(system, replace(pulse, detuning=d),
+                                 SpinMotionState.basis(6, "up", n0))
+            want[i] += weight * final.transfer_probability()
+    assert np.abs(got - want).max() < 1e-7
+
+
+def test_chirp_unitary_matches_ode_integrator_every_column():
+    model = HarmonicModel(2 * math.pi * 60e3, n_max=4)
+    system = model.system(1.0)
+    pulse = PulseSpec("adiabatic_chirp", peak_rabi=2 * math.pi * 20e3,
+                      detuning=system.resonance(0, 1), duration=100e-6,
+                      sweep=2 * math.pi * 40e3)
+    u = propagate_detunings(system, pulse,
+                            SpinMotionState(np.eye(system.dim, dtype=complex)),
+                            [pulse.detuning], dt=5e-9).T
+    for col in range(system.dim):
+        basis = np.zeros(system.dim, dtype=complex)
+        basis[col] = 1.0
+        ref = evolve_pulse(system, pulse, SpinMotionState(basis)).amplitudes
+        # second order: 1.0e-6 at dt 40 ns, 6.2e-8 at 10 ns, 1.6e-8 at 5 ns
+        assert np.abs(np.abs(u[:, col]) ** 2 - np.abs(ref) ** 2).max() < 3e-8
+
+
+FIT_GEOM = LatticeGeometry(865.95, 850.0, 0.8770)
+
+
+def small_fit_problem(t2d_guess):
+    cfg = SpectroscopyConfig(n_max=6, k_points=16, thermal_samples=2,
+                             dt=3e-7)
+    pulse = gaussian_pi_pulse(30e-6)
+    system = build_system(FIT_GEOM, ATOM, n_max=6, k_points=16)
+    detunings = np.array([system.resonance(0, n) + 2 * math.pi * 1e3 * off
+                          for n in range(4) for off in (-4.0, 0.0, 5.0)])
+    ens = ThermalEnsemble(10e-6, cfg.omega_rad, cfg.thermal_samples)
+    observed = simulate_spectrum(FIT_GEOM, ATOM, pulse, detunings,
+                                 ensemble=ens, cfg=cfg).transfer
+    up, down, dx = potentials_from_angle(FIT_GEOM, ATOM)
+    truth = {"dx": dx, "w_down": down.contrast,
+             "du_tot": -up.contrast - down.total_depth, "t2d": 10e-6}
+    sigma = np.full(detunings.size, 0.01)
+    guess = dict(truth, dx=1.03 * dx, w_down=0.98 * down.contrast,
+                 t2d=t2d_guess)
+    args = (detunings, observed, sigma, guess, 850.0, ATOM, 865.95, pulse,
+            cfg)
+    return args, truth
+
+
+@pytest.mark.parametrize("t2d", [12e-6, 0.0])
+def test_jacobian_matches_scipy_two_point(t2d):
+    args, _ = small_fit_problem(t2d)
+    residuals, jacobian, z0, lower, _ = _fit_problem(*args)
+    want = approx_derivative(residuals, z0, method="2-point", rel_step=1e-4,
+                             bounds=(lower, np.inf))
+    cached = (residuals(z0), jacobian(z0))[1]      # f(z0) from the cache
+    fresh = jacobian(z0.copy() * 1.0)              # f(z0) recomputed
+    residuals(z0 + 1.0)
+    uncached = jacobian(z0)
+    for got in (cached, fresh, uncached):
+        assert got.shape == want.shape
+        tol = 1e-8 * np.abs(want).max(axis=0)
+        assert np.all(np.abs(got - want) <= tol)
+
+
+def test_noiseless_fit_reports_unscaled_covariance():
+    # absolute sigma: the stderr is sqrt(diag(inv(J^T J))) however small
+    # chi^2 / dof is, here about 1e-20
+    args, truth = small_fit_problem(10e-6)
+    args = args[:3] + (truth,) + args[4:]
+    fit = fit_spectrum(*args)
+    residuals, _, _, lower, scale = _fit_problem(*args)
+    z = np.array([fit.params[k] for k in FIT_NAMES]) / scale
+    jac = approx_derivative(residuals, z, method="2-point", rel_step=1e-4,
+                            bounds=(lower, np.inf))
+    want = scale * np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)))
+    assert fit.cost < 1e-12
+    got = np.array([fit.stderr[k] for k in FIT_NAMES])
+    assert np.allclose(got, want, rtol=1e-4, atol=0.0)
