@@ -197,7 +197,8 @@ def cmd_fit(cfg: dict, out: Path, rng) -> dict:
     if not result.success:
         raise SolverFailure(f"fit did not converge: {result.message}")
     return {"params": result.params, "stderr": result.stderr,
-            "cost": result.cost, "message": result.message}
+            "cost": result.cost, "message": result.message,
+            "diagnostics": result.diagnostics}
 
 
 def _cooling_params(cfg: dict) -> cooling.CoolingParams:

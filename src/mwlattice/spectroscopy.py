@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -202,30 +202,74 @@ def system_from_potentials(w_up: float, w_down: float, u_down_tot: float,
     return SidebandSystem(energy_up=eps_up, energy_down=eps_down, fc_matrix=fc)
 
 
-# Steps whose Rabi frequencies and rotation phases are tabulated at once:
-# enough to amortize the numpy calls, few enough that the tables stay small
-# for a pulse of any length.
+# Steps whose Rabi frequencies and coupling rotations are tabulated at
+# once: enough to amortize the numpy calls, few enough that the tables stay
+# small for a pulse of any length.
 SCHEDULE_CHUNK = 64
 
 # Complex amplitudes of the systems that step together.  Stacking systems
 # spreads the fixed cost of a step over them; past about this many the
 # state, its diagonal phases and the work buffer no longer stay in a
-# core's cache and a step costs more per system than it saves.
+# core's cache and a step costs more per system than it saves.  A system
+# counts at least dim columns, which bounds its rotation tables as well.
 STACK_BLOCK = 1 << 15
 
+# Largest relative change of a state's norm over one propagation.  Every
+# step is unitary, so the norm moves by rounding only: by 6.6e-10 at most
+# over the identity batch of ``engineering.FOCK_CHIRP`` at n_max 15 and
+# the automatic step (528k steps).
+NORM_DRIFT_BOUND = 1e-8
 
-def _strang(lam: np.ndarray, q: np.ndarray, diag: np.ndarray,
-            psi: np.ndarray, pulse: PulseSpec, dt: float | None) -> None:
+
+def _coupling_modes(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-mode matrices of the coupling rotation, (S, 2m, dim^2).
+
+    With F = U diag(sigma) V^T (``u``, ``v`` (S, m, m), singular vectors
+    as columns) and the down amplitudes multiplied by -i, the rotation
+    exp(i theta C), C = [[0, F^T], [F, 0]], is the real orthogonal
+    R(theta) = sum_j cos(theta sigma_j) A_j + sin(theta sigma_j) B_j with
+    A_j = blockdiag(v_j v_j^T, u_j u_j^T) and
+    B_j = [[0, -v_j u_j^T], [u_j v_j^T, 0]].  The rows are A_0 .. A_{m-1},
+    B_0 .. B_{m-1}, flattened.
+    """
+    n_sys, m = u.shape[:2]
+    dim = 2 * m
+    modes = np.zeros((n_sys, 2, m, dim, dim))
+    modes[:, 0, :, :m, :m] = np.einsum("sij,skj->sjik", v, v)
+    modes[:, 0, :, m:, m:] = np.einsum("sij,skj->sjik", u, u)
+    uv = np.einsum("sij,skj->sjik", u, v)
+    modes[:, 1, :, m:, :m] = uv
+    modes[:, 1, :, :m, m:] = -np.swapaxes(uv, 2, 3)
+    return modes.reshape(n_sys, 2 * m, dim * dim)
+
+
+def _rotation_tables(modes: np.ndarray, sigma: np.ndarray,
+                     theta: np.ndarray) -> np.ndarray:
+    """R(theta_k) of each system at each angle, (S, K, dim, dim).
+
+    One GEMM per system: [cos | sin](theta_k sigma_j), (K, 2m), times the
+    system's (2m, dim^2) ``modes``.
+    """
+    arg = sigma[:, None, :] * theta[:, None]                   # (S, K, m)
+    coef = np.concatenate((np.cos(arg), np.sin(arg)), axis=2)
+    dim = 2 * sigma.shape[1]
+    return np.matmul(coef, modes).reshape(len(sigma), len(theta), dim, dim)
+
+
+def _strang(fc: np.ndarray, diag: np.ndarray, psi: np.ndarray,
+            pulse: PulseSpec, dt: float | None) -> None:
     """Propagate a stack of S systems through the pulse, in place.
 
-    ``lam`` (S, dim) and ``q`` (S, dim, dim) are the eigenpairs of each
-    system's coupling matrix, ``diag`` (S, dim, N) (N may broadcast) the
-    diagonal of the Hamiltonian of each column, overwritten with its
-    spread about the column mean, and ``psi`` the C-contiguous complex
-    (S, dim, N) states.  ``dt`` None takes the automatic step of the
-    system with the widest spectrum, so no system gets a coarser step than
-    it would alone.  The stack runs in blocks of at most ``STACK_BLOCK``
-    amplitudes, each through the whole pulse.
+    ``fc`` (S, m, m) holds each system's ``fc_matrix``, whose singular
+    value decomposition gives the coupling rotations, ``diag`` (S, dim, N)
+    (N may broadcast) the diagonal of the Hamiltonian of each column,
+    overwritten with its spread about the column mean, and ``psi`` the
+    C-contiguous complex (S, dim, N) states.  ``dt`` None takes the
+    automatic step of the system with the widest spectrum, so no system
+    gets a coarser step than it would alone.  The stack runs in blocks of
+    at most ``STACK_BLOCK`` amplitudes, each through the whole pulse.  A
+    state whose norm moves by more than ``NORM_DRIFT_BOUND`` (relative)
+    raises ``RuntimeError``.
     """
     # Subtract the per-column mean: a constant on the diagonal is a global
     # phase and only the spread limits the split-step accuracy.
@@ -235,23 +279,38 @@ def _strang(lam: np.ndarray, q: np.ndarray, diag: np.ndarray,
         dt = min(0.05 / max(scale, 1.0), pulse.support / 400.0)
     n_steps = max(1, int(math.ceil(pulse.support / dt)))
     dt = pulse.support / n_steps
-    n_sys = psi.shape[0]
-    per_block = max(1, STACK_BLOCK // (psi.shape[1] * psi.shape[2]))
+    u, sigma, vh = np.linalg.svd(fc)
+    v = vh.swapaxes(1, 2)
+    n_sys, dim, n_col = psi.shape
+    norm0 = np.linalg.norm(psi, axis=1)
+    per_block = max(1, STACK_BLOCK // (dim * max(n_col, dim)))
     for block in np.array_split(np.arange(n_sys), -(-n_sys // per_block)):
         b = slice(block[0], block[-1] + 1)
-        _strang_steps(lam[b], q[b], diag[b], psi[b], pulse, dt, n_steps)
+        _strang_steps(u[b], sigma[b], v[b], diag[b], psi[b], pulse, dt,
+                      n_steps)
+    drift = (np.abs(np.linalg.norm(psi, axis=1) - norm0)
+             / np.maximum(norm0, np.finfo(float).tiny))
+    worst = np.unravel_index(np.argmax(drift), drift.shape)
+    if not drift[worst] <= NORM_DRIFT_BOUND:
+        raise RuntimeError(
+            f"pulse propagation changed the norm of state {worst[1]} of "
+            f"system {worst[0]} by {drift[worst]:.3g} (relative), above "
+            f"{NORM_DRIFT_BOUND:g}")
 
 
-def _strang_steps(lam: np.ndarray, q: np.ndarray, diag: np.ndarray,
-                  psi: np.ndarray, pulse: PulseSpec, dt: float,
-                  n_steps: int) -> None:
+def _strang_steps(u: np.ndarray, sigma: np.ndarray, v: np.ndarray,
+                  diag: np.ndarray, psi: np.ndarray, pulse: PulseSpec,
+                  dt: float, n_steps: int) -> None:
     """The Strang loop of ``_strang`` on one block of systems.
 
     Second-order splitting with exact diagonal phases and the exact
-    coupling rotation q diag(e^{i theta}) q^T, which for the real q is two
-    real GEMMs per system on the (dim, 2N) float view of its states.  The
-    step schedule (Rabi frequencies, chirp phases and rotation phases) is
-    computed with numpy ``SCHEDULE_CHUNK`` steps at a time.
+    coupling rotation.  The down rows are multiplied by -i before the loop
+    and by i after it (both exact), which makes the rotation the real
+    orthogonal R(theta) of ``_coupling_modes``: one real GEMM per system
+    on the (dim, 2N) float view of its states, into the work buffer, and
+    the diagonal phases multiplied back into the states.  The step
+    schedule (Rabi frequencies, chirp phases and the R tables) is computed
+    ``SCHEDULE_CHUNK`` steps at a time.
     """
     # Adjacent Strang half steps merge: the diagonal phases into ``full``,
     # and a chirp's -(delta(t) - delta) P_up, which commutes with them, into
@@ -262,7 +321,8 @@ def _strang_steps(lam: np.ndarray, q: np.ndarray, diag: np.ndarray,
     np.exp(full, out=full)
     psi *= full
     full *= full       # the half steps' phases squared; the last is redone
-    qt = np.ascontiguousarray(np.swapaxes(q, 1, 2))
+    psi[:, m:] *= -1j
+    modes = _coupling_modes(u, v)
     work = np.empty_like(psi)
     psi_f, work_f = psi.view(np.float64), work.view(np.float64)
     dd_prev = 0.0
@@ -270,7 +330,7 @@ def _strang_steps(lam: np.ndarray, q: np.ndarray, diag: np.ndarray,
         steps = range(start, min(start + SCHEDULE_CHUNK, n_steps))
         tm = (np.arange(steps.start, steps.stop) + 0.5) * dt
         omega = pulse.rabi(tm)
-        rotation = np.exp(0.5j * dt * omega[:, None, None] * lam)[..., None]
+        rotation = _rotation_tables(modes, sigma, 0.5 * dt * omega)
         if chirp:
             dd = pulse.instantaneous_detuning(tm) - pulse.detuning
             merged = np.concatenate(([dd_prev], dd[:-1])) + dd
@@ -279,15 +339,16 @@ def _strang_steps(lam: np.ndarray, q: np.ndarray, diag: np.ndarray,
         for j, (i, om) in enumerate(zip(steps, omega.tolist())):
             if chirp and merged[j] != 0.0:
                 psi[:, :m] *= up_phase[j]
-            if om != 0.0:
-                np.matmul(qt, psi_f, out=work_f)
-                work *= rotation[j]
-                np.matmul(q, work_f, out=psi_f)
             if i == n_steps - 1:
                 np.exp(np.multiply(diag, -0.5j * dt, out=full), out=full)
-            psi *= full
+            if om != 0.0:
+                np.matmul(rotation[:, j], psi_f, out=work_f)
+                np.multiply(work, full, out=psi)
+            else:
+                psi *= full
     if dd_prev != 0.0:
         psi[:, :m] *= cmath.exp(0.5j * dt * dd_prev)
+    psi[:, m:] *= 1j
 
 
 def propagate_detunings(system: SidebandSystem, pulse: PulseSpec,
@@ -298,26 +359,26 @@ def propagate_detunings(system: SidebandSystem, pulse: PulseSpec,
     ``initial.amplitudes`` is one state (dim,) or a batch of row states
     (B, dim) broadcast against the detunings (B = 1, n_detunings = 1 or
     B = n_detunings).  Second-order Strang splitting: exact diagonal phases,
-    exact coupling rotation via a single eigendecomposition of the coupling
-    matrix.  Each step is unitary, so the norm is conserved to machine
-    precision, and symmetric, so the identity batch comes out as the
-    transpose of the pulse unitary.
+    exact coupling rotation from a single singular value decomposition of
+    ``fc_matrix``, as one real orthogonal matrix per step.  Each step is
+    unitary, so the norm is conserved to rounding (checked against
+    ``NORM_DRIFT_BOUND``), and symmetric, so the identity batch comes out
+    as the transpose of the pulse unitary.
 
     This is the one-system case of the stacked Strang loop that the thermal
     spectra and the fit's Jacobian also run: the states are the columns of
     a (dim, N) array, the step schedule (Rabi frequencies, chirp phases and
-    rotation phases) is computed with numpy a chunk of steps at a time, and
-    the rows are transposed back on return.
+    rotation matrices) is computed with numpy a chunk of steps at a time,
+    and the rows are transposed back on return.
     """
     detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
-    base, up_proj, c = system.hamiltonian_parts()
+    base, up_proj, _ = system.hamiltonian_parts()
     diag = base[None, :] - np.multiply.outer(detunings, up_proj)  # (Nd, dim)
     amps = initial.amplitudes
     shape = np.broadcast_shapes(amps.shape, diag.shape)
     psi = np.array(np.broadcast_to(amps, shape).T[None], dtype=complex,
                    order="C")
-    lam, q = np.linalg.eigh(c)
-    _strang(lam[None], q[None], diag.T[None], psi, pulse, dt)
+    _strang(system.fc_matrix[None], diag.T[None], psi, pulse, dt)
     return psi[0].T.copy()
 
 
@@ -489,19 +550,14 @@ def _stacked_transfers(groups: list[list[tuple[SidebandSystem, int, float]]],
     """
     entries = [e for group in groups for e in group]
     dim = entries[0][0].dim
-    lam = np.empty((len(entries), dim))
-    q = np.empty((len(entries), dim, dim))
     diag = np.empty((len(entries), dim, detunings.size))
     psi = np.zeros((len(entries), dim, detunings.size), dtype=complex)
-    eig = {}
     for s, (system, n0, _) in enumerate(entries):
-        base, up_proj, c = system.hamiltonian_parts()
-        if id(system) not in eig:
-            eig[id(system)] = np.linalg.eigh(c)
-        lam[s], q[s] = eig[id(system)]
+        base, up_proj, _ = system.hamiltonian_parts()
         diag[s] = base[:, None] - np.multiply.outer(up_proj, detunings)
         psi[s, n0] = 1.0
-    _strang(lam, q, diag, psi, pulse, dt)
+    _strang(np.array([e[0].fc_matrix for e in entries]), diag, psi, pulse,
+            dt)
     down = np.sum(np.abs(psi[:, dim // 2:]) ** 2, axis=1)       # (S, Nd)
     out, s = [], 0
     for group in groups:
@@ -549,11 +605,16 @@ def binomial_sigma(successes: np.ndarray, trials: int) -> np.ndarray:
 
 @dataclass
 class FitResult:
+    """Fitted parameters and their errors.  ``diagnostics`` holds the
+    optimizer's ``nfev``, ``njev`` and ``status``, ``chi2_dof`` and the
+    condition number ``cond_jtj`` of J^T J of the scaled problem."""
+
     params: dict[str, float]
     stderr: dict[str, float]
     cost: float
     success: bool
     message: str
+    diagnostics: dict[str, float] = field(default_factory=dict)
 
 
 # Relative finite-difference step of the fit's Jacobian (least_squares'
@@ -647,15 +708,21 @@ def fit_spectrum(detunings: np.ndarray, observed: np.ndarray,
     # crashing.  cov(theta) = diag(scale) cov(z) diag(scale).
     jtj = res.jac.T @ res.jac
     dof = max(1, detunings.size - 4)
+    chi2_dof = 2 * float(res.cost) / dof
     try:
-        cov = np.linalg.inv(jtj) * max(1.0, 2 * res.cost / dof)
+        cov = np.linalg.inv(jtj) * max(1.0, chi2_dof)
         err = scale * np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         err = np.full(4, np.nan)
     success = res.status > 0
     message = res.message
-    if np.linalg.cond(jtj) > 1e12:
+    cond = float(np.linalg.cond(jtj))
+    if cond > 1e12:
         message += " [degenerate Jacobian]"
+    diagnostics = {"nfev": int(res.nfev), "njev": int(res.njev),
+                   "status": int(res.status), "chi2_dof": chi2_dof,
+                   "cond_jtj": cond}
     return FitResult(params=dict(zip(FIT_NAMES, theta)),
                      stderr=dict(zip(FIT_NAMES, err)),
-                     cost=float(res.cost), success=success, message=message)
+                     cost=float(res.cost), success=success, message=message,
+                     diagnostics=diagnostics)

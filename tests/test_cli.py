@@ -189,6 +189,56 @@ def test_fit_requires_input(tmp_path):
     assert run_cli(["fit", "--out", str(tmp_path)]) == 2
 
 
+def test_fit_reports_diagnostics(tmp_path):
+    # a noiseless spectrum at a small solver size, fitted twice: fit.json
+    # carries the optimizer's diagnostics and is byte-identical
+    fit_keys = {"n_max": 5, "k_points": 8, "thermal_samples": 1,
+                "time_step_s": 1e-6, "pulse_fwhm_us": 30.0}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "solver": {"n_max": 5, "k_points": 8},
+        "spectrum": {"polarization_angles": [0.3538], "pulse_fwhm_us": 30.0,
+                     "detuning_min_khz": -400.0, "detuning_max_khz": 0.0,
+                     "n_detunings": 40, "thermal_samples": 1,
+                     "time_step_s": 1e-6}}))
+    assert run_cli(["spectrum", "--config", str(spec),
+                    "--out", str(tmp_path)]) == 0
+    fit = tmp_path / "fit_cfg.json"
+    fit.write_text(json.dumps({"fit": dict(
+        fit_keys, input_csv=str(tmp_path / "spectrum.csv"),
+        atoms_per_point=200,
+        guess={"dx": 0.10, "w_down": 825.0, "du_tot": -11.0, "t2d": 1e-5})}))
+    runs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert run_cli(["fit", "--config", str(fit), "--out", str(out)]) == 0
+        runs.append((out / "fit.json").read_bytes())
+    assert runs[0] == runs[1]
+    results = json.loads(runs[0])["results"]
+    diag = results["diagnostics"]
+    assert set(diag) == {"nfev", "njev", "status", "chi2_dof", "cond_jtj"}
+    assert diag["nfev"] >= 1 and diag["njev"] >= 1
+    assert diag["status"] in (1, 2, 3, 4)
+    assert diag["chi2_dof"] == pytest.approx(2 * results["cost"] / (40 - 4),
+                                             rel=1e-12)
+    assert 1.0 <= diag["cond_jtj"] < 1e12
+
+
+def test_norm_drift_exits_3(tmp_path, monkeypatch, capsys):
+    from mwlattice import spectroscopy
+    tables = spectroscopy._rotation_tables
+    monkeypatch.setattr(spectroscopy, "_rotation_tables",
+                        lambda *args: tables(*args) * (1 + 1e-6))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "solver": {"n_max": 3, "k_points": 8},
+        "spectrum": {"polarization_angles": [0.3538], "n_detunings": 5,
+                     "thermal_samples": 1, "time_step_s": 1e-6}}))
+    assert run_cli(["spectrum", "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 3
+    assert "changed the norm of state" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.json").exists()
+
+
 def test_non_finite_result_exits_3(tmp_path, monkeypatch, capsys):
     # fit_spectrum reports every stderr as NaN when J^T J is singular
     from mwlattice import cli

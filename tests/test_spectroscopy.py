@@ -7,9 +7,11 @@ from scipy.optimize._numdiff import approx_derivative
 
 from mwlattice.engineering import HarmonicModel
 from mwlattice.lattice import cesium, LatticeGeometry, potentials_from_angle
+from mwlattice import spectroscopy
 from mwlattice.spectroscopy import (FIT_NAMES, STACK_BLOCK, PulseSpec,
                                     SpectroscopyConfig, SpinMotionState,
-                                    ThermalEnsemble, _fit_problem, _strang,
+                                    ThermalEnsemble, _coupling_modes,
+                                    _fit_problem, _rotation_tables, _strang,
                                     _stacked_transfers, _thermal_systems,
                                     beam_waist, binomial_sigma,
                                     boltzmann_populations, build_system,
@@ -166,6 +168,57 @@ def test_propagator_matches_row_major_reference(envelope):
         assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() < 1e-12
 
 
+def coupling_cases():
+    """A harmonic FC table, a rank-3 F and an F whose singular values are
+    1, 1, 1, 0.5, 0.5, 0.2 (degenerate)."""
+    rng = np.random.default_rng(11)
+    ortho = [np.linalg.qr(rng.standard_normal((6, 6)))[0] for _ in range(2)]
+    return {
+        "harmonic": HarmonicModel(2 * math.pi * 60e3, n_max=5).coupling(1.3),
+        "rank_deficient": rng.standard_normal((6, 3))
+        @ rng.standard_normal((3, 6)),
+        "degenerate": ortho[0] @ np.diag([1, 1, 1, 0.5, 0.5, 0.2])
+        @ ortho[1].T,
+    }
+
+
+@pytest.mark.parametrize("case", ["harmonic", "rank_deficient",
+                                  "degenerate"])
+def test_rotation_tables_are_the_conjugated_coupling_rotation(case):
+    # R(theta) = diag(1, -i) q e^{i theta lambda} q^T diag(1, i) for the
+    # eigenpairs (lambda, q) of C = [[0, F^T], [F, 0]]
+    f = coupling_cases()[case]
+    m = f.shape[0]
+    u, sigma, vh = np.linalg.svd(f[None])
+    theta = np.array([0.0, 1e-3, 0.37, 1.9, -2.6])
+    tables = _rotation_tables(_coupling_modes(u, vh.swapaxes(1, 2)), sigma,
+                              theta)
+    assert tables.shape == (1, theta.size, 2 * m, 2 * m)
+    c = np.block([[np.zeros((m, m)), f.T], [f, np.zeros((m, m))]])
+    lam, q = np.linalg.eigh(c)
+    frame = np.concatenate([np.ones(m), np.full(m, -1j)])
+    for t, r in zip(theta, tables[0]):
+        assert np.isrealobj(r)
+        assert np.abs(r.T @ r - np.eye(2 * m)).max() < 1e-14
+        want = (frame[:, None] * (q * np.exp(1j * t * lam)) @ q.T
+                * frame.conj()[None, :])
+        assert np.abs(r - want).max() < 1e-14
+
+
+def test_norm_drift_raises(monkeypatch):
+    # rotations 1e-6 too long: the norm grows by about 1e-6 a step
+    tables = spectroscopy._rotation_tables
+    monkeypatch.setattr(spectroscopy, "_rotation_tables",
+                        lambda *args: tables(*args) * (1 + 1e-6))
+    system = small_system()
+    pulse = gaussian_pi_pulse(30e-6)
+    with pytest.raises(RuntimeError, match=r"changed the norm of state \d+ "
+                       r"of system 0 by [0-9.e-]+ \(relative\), above 1e-08"):
+        propagate_detunings(system, pulse, SpinMotionState.basis(6, "up", 0),
+                            [system.resonance(0, 0), system.resonance(0, 1)],
+                            dt=3e-7)
+
+
 def test_sideband_peak_positions():
     system = small_system()
     pulse = gaussian_pi_pulse(30e-6)
@@ -301,11 +354,11 @@ def test_stacked_chirp_matches_separate_calls():
                       detuning=systems[0].resonance(0, 1), duration=100e-6,
                       sweep=2 * math.pi * 40e3)
     dim = systems[0].dim
-    lam, q = zip(*(np.linalg.eigh(s.hamiltonian_parts()[2]) for s in systems))
+    fc = np.array([s.fc_matrix for s in systems])
     diag = np.stack([s.hamiltonian_parts()[0] - pulse.detuning
                      * s.hamiltonian_parts()[1] for s in systems])
     psi = np.tile(np.eye(dim, dtype=complex), (3, 1, 1))
-    _strang(np.array(lam), np.array(q), diag[:, :, None], psi, pulse, 3e-7)
+    _strang(fc, diag[:, :, None], psi, pulse, 3e-7)
     for system, u in zip(systems, psi):
         one = propagate_detunings(system, pulse,
                                   SpinMotionState(np.eye(dim, dtype=complex)),
