@@ -33,7 +33,6 @@ from .spectroscopy import (
     SidebandSystem,
     SpectroscopyConfig,
     SpectrumResult,
-    ThermalEnsemble,
     build_system,
     evolve_pulse,
     fit_spectrum,
@@ -84,7 +83,6 @@ __all__ = [
     "SidebandSystem",
     "SpectroscopyConfig",
     "SpectrumResult",
-    "ThermalEnsemble",
     "build_system",
     "evolve_pulse",
     "fit_spectrum",

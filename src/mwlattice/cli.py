@@ -24,8 +24,8 @@ from .config import ConfigError, dumps, load_config
 from .franck_condon import fcf_exact, fcf_harmonic
 from .lattice import (cesium, ground_state_width, LatticeGeometry,
                       potentials_from_angle, trap_frequency)
-from .spectroscopy import (SpectroscopyConfig, ThermalEnsemble, binomial_sigma,
-                           fit_spectrum, gaussian_pi_pulse, simulate_spectrum)
+from .spectroscopy import (SpectroscopyConfig, binomial_sigma, fit_spectrum,
+                           gaussian_pi_pulse, simulate_spectrum)
 
 
 class SolverFailure(RuntimeError):
@@ -107,12 +107,16 @@ def cmd_fcf(cfg: dict, out: Path, rng) -> dict:
     atom = cesium()
     geom = _geometry(cfg)
     sol = cfg["solver"]
-    spec = solve_bands(geom.depth_up, n_bands=int(sol["n_max"]) + 1,
+    n_max, n_bands = int(sol["n_max"]), int(cfg["fcf"]["bands"])
+    if n_max + 1 < max(n_bands, 4):
+        raise ValueError(
+            f"fcf.bands = {n_bands} and the harmonic oracle's 4 levels need "
+            f"solver.n_max >= {max(n_bands, 4) - 1}, got {n_max}")
+    spec = solve_bands(geom.depth_up, n_bands=n_max + 1,
                        k_points=int(sol["k_points"]), q_cutoff=_q_cutoff(cfg))
     d_nm = geom.spacing
     shifts_nm = np.linspace(0.0, cfg["fcf"]["max_shift_nm"],
                             int(cfg["fcf"]["n_shifts"]))
-    n_bands = int(cfg["fcf"]["bands"])
     curves = np.empty((shifts_nm.size, n_bands))
     for i, s in enumerate(shifts_nm):
         table = fcf_exact(spec, spec, s / d_nm)
@@ -142,8 +146,7 @@ def cmd_spectrum(cfg: dict, out: Path, rng) -> dict:
     sp = cfg["spectrum"]
     scfg = SpectroscopyConfig(
         n_max=int(cfg["solver"]["n_max"]), k_points=int(cfg["solver"]["k_points"]),
-        q_cutoff=_q_cutoff(cfg), omega_rad=2 * math.pi * sp["radial_frequency_hz"],
-        thermal_samples=int(sp["thermal_samples"]),
+        q_cutoff=_q_cutoff(cfg), thermal_samples=int(sp["thermal_samples"]),
         dt=sp["time_step_s"])
     pulse = gaussian_pi_pulse(sp["pulse_fwhm_us"] * 1e-6)
     detunings = 2 * math.pi * 1e3 * np.linspace(
@@ -153,10 +156,9 @@ def cmd_spectrum(cfg: dict, out: Path, rng) -> dict:
     for angle in sp["polarization_angles"]:
         geom = _geometry(cfg, angle=angle)
         up, down, dx = potentials_from_angle(geom, atom)
-        ensemble = ThermalEnsemble(sp["temperature_2d_uk"] * 1e-6,
-                                   scfg.omega_rad, scfg.thermal_samples)
         result = simulate_spectrum(geom, atom, pulse, detunings,
-                                   ensemble=ensemble, cfg=scfg)
+                                   t2d=sp["temperature_2d_uk"] * 1e-6,
+                                   cfg=scfg)
         transfer = result.transfer
         if atoms > 0:
             transfer = rng.binomial(atoms, np.clip(transfer, 0, 1)) / atoms
@@ -188,7 +190,8 @@ def cmd_fit(cfg: dict, out: Path, rng) -> dict:
 
     scfg = SpectroscopyConfig(
         n_max=int(ft["n_max"]), k_points=int(ft["k_points"]),
-        thermal_samples=int(ft["thermal_samples"]), dt=ft["time_step_s"])
+        q_cutoff=_q_cutoff(cfg), thermal_samples=int(ft["thermal_samples"]),
+        dt=ft["time_step_s"])
     pulse = gaussian_pi_pulse(ft["pulse_fwhm_us"] * 1e-6)
     result = fit_spectrum(detunings, observed, sigma, dict(ft["guess"]),
                           w_up=cfg["lattice"]["depth_up"], atom=atom,

@@ -47,7 +47,7 @@ DEFAULTS: dict = {
         "n_detunings": 800,
         "temperature_2d_uk": 10.0,
         "thermal_samples": 8,
-        "radial_frequency_hz": 1000.0,
+        "radial_frequency_hz": 1000.0,   # accepted, no effect: it cancels
         "atoms_per_point": 0,     # 0 = noiseless probabilities
         "time_step_s": None,
     },

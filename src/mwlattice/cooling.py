@@ -56,11 +56,10 @@ class CoolingParams:
     """Inputs of the sideband-cooling master equation.
 
     Rates in 1/s, frequencies in rad/s.  ``eta_x`` is the spatial and
-    ``eta_k`` the momentum Lamb-Dicke parameter; ``branching`` is
-    (alpha_up, alpha_down, alpha_aux) for decay out of the excited state.
-    ``aux_shifted`` places the auxiliary potential on the up-potential site
-    (so down <-> aux transfers see the full shift); set False to co-locate
-    it with the down potential instead.
+    ``eta_k`` the momentum Lamb-Dicke parameter.  Decay out of the excited
+    state branches as ``DEFAULT_BRANCHING``, and the auxiliary potential
+    sits on the up-potential site (so down <-> aux transfers see the full
+    shift).
     """
 
     omega_0: float                   # bare microwave Rabi frequency, rad/s
@@ -70,17 +69,13 @@ class CoolingParams:
     r_down: float                    # repump rate out of |down>, 1/s
     r_aux: float                     # pump rate out of |aux>, 1/s
     r_up: float = 0.0                # lattice scattering rate in |up>, 1/s
-    branching: tuple[float, float, float] = DEFAULT_BRANCHING
     n_max: int = 15
-    aux_shifted: bool = True
 
     def __post_init__(self):
         if min(self.r_down, self.r_aux, self.r_up) < 0:
             raise ValueError("rates must be >= 0")
         if self.omega_0 < 0 or self.omega_vib <= 0:
             raise ValueError("omega_0 >= 0 and omega_vib > 0 required")
-        if any(b < 0 for b in self.branching) or abs(sum(self.branching) - 1.0) > 1e-9:
-            raise ValueError("branching ratios must be >= 0 and sum to 1")
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
 
@@ -172,11 +167,10 @@ def decay_rates(params: CoolingParams) -> list[JumpChannel]:
     computed.
     """
     n_max = params.n_max
-    aux_site = SPIN_UP if params.aux_shifted else SPIN_DOWN
     kernels: dict[float, np.ndarray] = {}
 
     def site(spin: int) -> int:
-        return aux_site if spin == SPIN_AUX else spin
+        return SPIN_UP if spin == SPIN_AUX else spin
 
     def overlap(src: int, dst: int) -> np.ndarray:
         dx = params.eta_x if site(src) != site(dst) else 0.0
@@ -189,10 +183,10 @@ def decay_rates(params: CoolingParams) -> list[JumpChannel]:
     for src, rate in pump.items():
         if rate == 0.0:
             continue
-        for dst, alpha in zip((SPIN_UP, SPIN_DOWN, SPIN_AUX), params.branching):
-            if alpha == 0.0:
-                continue
-            channels.append(JumpChannel(src, dst, alpha * rate * overlap(src, dst)))
+        for dst, alpha in zip((SPIN_UP, SPIN_DOWN, SPIN_AUX),
+                              DEFAULT_BRANCHING):
+            channels.append(JumpChannel(src, dst,
+                                        alpha * rate * overlap(src, dst)))
     if params.r_up > 0.0:
         channels.append(JumpChannel(SPIN_UP, SPIN_UP,
                                     params.r_up * overlap(SPIN_UP, SPIN_UP)))

@@ -21,20 +21,9 @@ from .bands import BlochSpectrum
 
 @dataclass(frozen=True)
 class FranckCondonTable:
-    """Overlap matrix I[n_bra, n_ket] at one shift and site offset.
+    """Overlap matrix I[n_bra, n_ket] at one shift and site offset."""
 
-    ``shift`` is in units of the lattice spacing d; ``site_offset`` is
-    r - r' in sites.  ``depth_bra``/``depth_ket`` record provenance.
-    """
-
-    shift: float
-    site_offset: int
     matrix: np.ndarray        # (n_bands_bra, n_bands_ket), real
-    depth_bra: float
-    depth_ket: float
-
-    def overlap(self, n_bra: int, n_ket: int) -> float:
-        return float(self.matrix[n_bra, n_ket])
 
 
 def fcf_exact(spec_bra: BlochSpectrum, spec_ket: BlochSpectrum,
@@ -42,8 +31,9 @@ def fcf_exact(spec_bra: BlochSpectrum, spec_ket: BlochSpectrum,
     """Exact overlap table I[n', n] = <n'(bra) | T_shift | n(ket)>.
 
     ``shift`` in units of d; positive shift moves the ket state toward
-    positive x.  Both spectra must share the k grid and plane-wave cutoff.
-    The Brillouin-zone sum is a uniform Riemann sum over the shared grid.
+    positive x; ``site_offset`` is r - r' in sites.  Both spectra must
+    share the k grid and plane-wave cutoff.  The Brillouin-zone sum is a
+    uniform Riemann sum over the shared grid.
     """
     if not spec_bra.compatible_grid(spec_ket):
         raise ValueError("bra and ket spectra use different (k, q) grids")
@@ -60,9 +50,7 @@ def fcf_exact(spec_bra: BlochSpectrum, spec_ket: BlochSpectrum,
         raise RuntimeError(
             f"Franck-Condon table not real (max imag {imag_max:.2e}); "
             "phase convention violated")
-    return FranckCondonTable(shift=float(shift), site_offset=site_offset,
-                             matrix=np.ascontiguousarray(table.real),
-                             depth_bra=spec_bra.depth, depth_ket=spec_ket.depth)
+    return FranckCondonTable(matrix=np.ascontiguousarray(table.real))
 
 
 def displacement_element(alpha: complex, n_bra, n_ket):

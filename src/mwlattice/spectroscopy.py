@@ -406,47 +406,6 @@ def evolve_pulse(system: SidebandSystem, pulse: PulseSpec,
     return SpinMotionState(sol.y[:, -1].view(complex).copy())
 
 
-@dataclass(frozen=True)
-class ThermalEnsemble:
-    """Transverse 2-D Boltzmann ensemble, frozen during the pulse.
-
-    Radial density P(rho) = (rho/sigma^2) exp(-rho^2 / 2 sigma^2) with
-    sigma = sqrt(kB T / (m omega_rad^2)).  ``nodes`` returns Gauss-Laguerre
-    abscissas in rho with weights summing to 1.
-    """
-
-    temperature: float        # K
-    omega_rad: float          # rad/s
-    n_samples: int = 16
-
-    def sigma(self, atom: AtomConstants) -> float:
-        return math.sqrt(KB * self.temperature / (atom.mass * self.omega_rad ** 2))
-
-    def nodes(self, atom: AtomConstants) -> tuple[np.ndarray, np.ndarray]:
-        if self.temperature <= 0.0:
-            return np.array([0.0]), np.array([1.0])
-        # substitute u = rho^2 / (2 sigma^2): integral of f(rho) e^-u du
-        u, w = roots_laguerre(self.n_samples)
-        rho = self.sigma(atom) * np.sqrt(2.0 * u)
-        return rho, w / w.sum()
-
-
-def beam_waist(geom: LatticeGeometry, atom: AtomConstants,
-               omega_rad: float) -> float:
-    """Waist w0 from the transverse harmonic expansion of the Gaussian beam.
-
-    The full depth W_up relaxes transversely as exp(-2 rho^2 / w0^2); matching
-    the quadratic term to m omega_rad^2 rho^2 / 2 gives
-    w0 = sqrt(4 W_up / (m omega_rad^2)).
-    """
-    w_joule = geom.depth_up * recoil_energy(atom, geom.lattice_wavelength)
-    return math.sqrt(4.0 * w_joule / (atom.mass * omega_rad ** 2))
-
-
-def radial_depth_scale(rho: float, waist: float) -> float:
-    return math.exp(-2.0 * rho ** 2 / waist ** 2)
-
-
 def boltzmann_populations(n_max: int, omega_vib: float,
                           temperature: float) -> np.ndarray:
     """Truncated thermal distribution over vibrational levels."""
@@ -499,35 +458,40 @@ class SpectroscopyConfig:
     n_max: int = 15
     k_points: int = 32
     q_cutoff: int | None = None
-    omega_rad: float = 2 * math.pi * 1e3
     thermal_samples: int = 8
     axial_temperature: float = 0.0   # K; 0 = ground state
     dt: float | None = None          # s; None = automatic step size
 
 
 def _thermal_systems(w_up: float, w_down: float, u_down_tot: float,
-                     dx: float, ensemble: ThermalEnsemble,
-                     atom: AtomConstants, lattice_wavelength: float,
-                     cfg: SpectroscopyConfig
+                     dx: float, t2d: float, atom: AtomConstants,
+                     lattice_wavelength: float, cfg: SpectroscopyConfig
                      ) -> list[tuple[SidebandSystem, int, float]]:
     """(system, initial up level, weight) of every populated thermal state.
 
     With ``_stacked_transfers``, the forward model of both
-    ``simulate_spectrum`` and ``fit_spectrum``.  At each transverse node the
-    depths are rescaled by the Gaussian beam profile (``beam_waist``) and
-    the bands and Franck-Condon tables re-derived; each initial level with
-    Boltzmann population >= 1e-6 at ``cfg.axial_temperature`` (with the
-    node's up-spin trap frequency) is one entry, weighted by node weight
-    times population.
+    ``simulate_spectrum`` and ``fit_spectrum``.  The atoms' transverse
+    positions follow the 2-D Boltzmann distribution at ``t2d`` (K) and are
+    frozen during the pulse, valid when the radial trap frequency
+    omega_r << Omega_0.  The Gaussian beam scales the depths by
+    g = exp(-2 rho^2 / w0^2), and its transverse harmonic expansion gives
+    m omega_r^2 w0^2 = 4 W_up; at the Gauss-Laguerre node
+    u = m omega_r^2 rho^2 / (2 kB T) this is g = exp(-u kB T / W_up), free
+    of omega_r.  ``cfg.thermal_samples`` nodes are used, or one node at
+    g = 1 when t2d <= 0.  At each node the bands and Franck-Condon tables
+    are re-derived; each initial level with Boltzmann population >= 1e-6 at
+    ``cfg.axial_temperature`` (with the node's up-spin trap frequency) is
+    one entry, weighted by node weight times population.
     """
     q_cut = cfg.q_cutoff or default_q_cutoff(w_up)
-    # the waist depends on the up-spin depth only, not on the angle
-    waist = beam_waist(LatticeGeometry(lattice_wavelength, w_up, 0.0), atom,
-                       ensemble.omega_rad)
-    rhos, weights = ensemble.nodes(atom)
+    if t2d > 0.0:
+        u, w = roots_laguerre(cfg.thermal_samples)
+        w_joule = w_up * recoil_energy(atom, lattice_wavelength)
+        scales, weights = np.exp(-u * KB * t2d / w_joule), w / w.sum()
+    else:
+        scales, weights = np.ones(1), np.ones(1)
     entries = []
-    for rho, w_rho in zip(rhos, weights):
-        g = radial_depth_scale(rho, waist)
+    for g, w_node in zip(scales, weights):
         system = system_from_potentials(
             w_up * g, w_down * g, u_down_tot * g, dx, atom,
             lattice_wavelength, n_max=cfg.n_max, k_points=cfg.k_points,
@@ -535,7 +499,7 @@ def _thermal_systems(w_up: float, w_down: float, u_down_tot: float,
         pops = boltzmann_populations(
             cfg.n_max, trap_frequency(w_up * g, atom, lattice_wavelength),
             cfg.axial_temperature)
-        entries += [(system, n0, w_rho * p0) for n0, p0 in enumerate(pops)
+        entries += [(system, n0, w_node * p0) for n0, p0 in enumerate(pops)
                     if p0 >= 1e-6]
     return entries
 
@@ -571,22 +535,21 @@ def _stacked_transfers(groups: list[list[tuple[SidebandSystem, int, float]]],
 
 def simulate_spectrum(geom: LatticeGeometry, atom: AtomConstants,
                       pulse: PulseSpec, detunings: np.ndarray,
-                      ensemble: ThermalEnsemble | None = None,
+                      t2d: float = 0.0,
                       cfg: SpectroscopyConfig = SpectroscopyConfig(),
                       ) -> SpectrumResult:
     """Thermal-weighted microwave spectrum starting from the up spin.
 
-    For each frozen transverse radius the depths are rescaled, bands and
-    Franck-Condon tables re-derived, and the pulse propagated over the whole
-    detuning grid, every radius in one stacked loop.  Valid when
-    omega_rad << Omega_0 (frozen-position approximation).
+    At each frozen transverse radius of the ensemble at ``t2d`` (K) the
+    depths are rescaled, bands and Franck-Condon tables re-derived, and the
+    pulse propagated over the whole detuning grid, every radius in one
+    stacked loop.  Valid when the radial trap frequency omega_r << Omega_0
+    (frozen-position approximation; ``_thermal_systems``).
     """
     detunings = np.asarray(detunings, dtype=float)
-    if ensemble is None:
-        ensemble = ThermalEnsemble(0.0, cfg.omega_rad, 1)
     up, down, dx = potentials_from_angle(geom, atom)
     states = _thermal_systems(up.contrast, down.contrast, down.total_depth,
-                              dx, ensemble, atom, geom.lattice_wavelength, cfg)
+                              dx, t2d, atom, geom.lattice_wavelength, cfg)
     transfer = _stacked_transfers([states], pulse, detunings, cfg.dt)[0]
     return SpectrumResult(detunings=detunings, transfer=transfer)
 
@@ -647,9 +610,8 @@ def _fit_problem(detunings: np.ndarray, observed: np.ndarray,
 
     def states(z):
         dx, w_down, du_tot, t2d = z * scale
-        ensemble = ThermalEnsemble(t2d, cfg.omega_rad, cfg.thermal_samples)
-        return _thermal_systems(w_up, w_down, -w_up - du_tot, dx, ensemble,
-                                atom, lattice_wavelength, cfg)
+        return _thermal_systems(w_up, w_down, -w_up - du_tot, dx, t2d, atom,
+                                lattice_wavelength, cfg)
 
     last = {}
 

@@ -27,8 +27,8 @@ from mwlattice.franck_condon import (fcf_exact, fcf_harmonic, fcf_quadrature)
 from mwlattice.lattice import (cesium, ground_state_width, lamb_dicke,
                                LatticeGeometry, potentials_from_angle,
                                recoil_energy, trap_frequency, HBAR)
-from mwlattice.spectroscopy import (SpectroscopyConfig, ThermalEnsemble,
-                                    binomial_sigma, build_system, fit_spectrum,
+from mwlattice.spectroscopy import (SpectroscopyConfig, binomial_sigma,
+                                    build_system, fit_spectrum,
                                     gaussian_pi_pulse, simulate_spectrum)
 
 ATOM = cesium()
@@ -191,9 +191,7 @@ def fit_truth_and_spectrum():
     truth = {"dx": dx, "w_down": down.contrast,
              "du_tot": -up.contrast - down.total_depth, "t2d": 1e-5}
     det = 2 * math.pi * 1e3 * np.linspace(-1384.1, -135.8, 700)
-    ens = ThermalEnsemble(truth["t2d"], FIT_CFG.omega_rad,
-                          FIT_CFG.thermal_samples)
-    model = simulate_spectrum(geom, ATOM, FIT_PULSE, det, ensemble=ens,
+    model = simulate_spectrum(geom, ATOM, FIT_PULSE, det, t2d=truth["t2d"],
                               cfg=FIT_CFG).transfer
     return truth, det, model
 
@@ -236,12 +234,11 @@ def test_criterion_07_thermal_broadening_law():
     def rms_widths(temperature, nodes):
         cfg = SpectroscopyConfig(n_max=12, k_points=16,
                                  thermal_samples=nodes, dt=3e-7)
-        ens = ThermalEnsemble(temperature, cfg.omega_rad, nodes)
         out = {}
         for n in range(6):
             res = system.resonance(0, n)
             det = res + 2 * math.pi * 1e3 * np.linspace(-40, 90, 261)
-            r = simulate_spectrum(geom, ATOM, pulse, det, ensemble=ens,
+            r = simulate_spectrum(geom, ATOM, pulse, det, t2d=temperature,
                                   cfg=cfg)
             x = (det - res) / (2 * math.pi * 1e3)
             w = r.transfer - r.transfer.min()
@@ -253,10 +250,9 @@ def test_criterion_07_thermal_broadening_law():
     def fwhm_cold(n):
         cfg = SpectroscopyConfig(n_max=12, k_points=16,
                                  thermal_samples=1, dt=3e-7)
-        ens = ThermalEnsemble(0.0, cfg.omega_rad, 1)
         res = system.resonance(0, n)
         det = res + 2 * math.pi * 1e3 * np.linspace(-30, 30, 241)
-        r = simulate_spectrum(geom, ATOM, pulse, det, ensemble=ens, cfg=cfg)
+        r = simulate_spectrum(geom, ATOM, pulse, det, cfg=cfg)
         x = (det - res) / (2 * math.pi * 1e3)
         above = x[r.transfer >= 0.5 * r.transfer.max()]
         return above.max() - above.min()

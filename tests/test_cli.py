@@ -167,8 +167,14 @@ def test_engineer_bad_task_exit_code(tmp_path):
     ("engineer", {"engineer": {"task": "coherent", "n_max": -1}},
      "got -1"),
     ("cool", {"cool": {"n_max": -1}}, "got -1"),
+    ("fcf", {"solver": {"n_max": 2, "k_points": 8},
+             "fcf": {"bands": 3, "n_shifts": 3}}, "solver.n_max >= 3, got 2"),
+    ("fcf", {"solver": {"n_max": 2, "k_points": 8}},
+     "fcf.bands = 6 and the harmonic oracle's 4 levels need "
+     "solver.n_max >= 5, got 2"),
 ], ids=["fock_m_above_n_max", "fock_m_negative", "superposition_n_max_1",
-        "engineer_n_max_negative", "cool_n_max_negative"])
+        "engineer_n_max_negative", "cool_n_max_negative",
+        "fcf_n_max_below_oracle", "fcf_n_max_below_bands"])
 def test_out_of_range_input_exits_3(tmp_path, capsys, command, block, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(block))
@@ -221,6 +227,104 @@ def test_fit_reports_diagnostics(tmp_path):
     assert diag["chi2_dof"] == pytest.approx(2 * results["cost"] / (40 - 4),
                                              rel=1e-12)
     assert 1.0 <= diag["cond_jtj"] < 1e12
+
+
+def test_fit_uses_solver_q_cutoff(tmp_path, monkeypatch):
+    # the fit's model uses the plane-wave cutoff the spectrum was made with
+    from mwlattice import cli
+    from mwlattice.spectroscopy import FitResult
+    seen = []
+
+    def fake_fit(*args, cfg, **kwargs):
+        seen.append(cfg)
+        names = ["dx", "w_down", "du_tot", "t2d"]
+        return FitResult(params=dict.fromkeys(names, 1.0),
+                         stderr=dict.fromkeys(names, 0.1), cost=0.5,
+                         success=True, message="converged")
+    monkeypatch.setattr(cli, "fit_spectrum", fake_fit)
+    data = tmp_path / "data.csv"
+    data.write_text("detuning_khz,p\n-1,0.1\n0,0.5\n1,0.2\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": {"q_cutoff": 70},
+                               "fit": {"input_csv": str(data)}}))
+    assert run_cli(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert [c.q_cutoff for c in seen] == [70]
+
+
+class ReadRecorder(dict):
+    """A config (sub)tree that records the dotted path of every key read.
+
+    Overriding ``__iter__`` makes ``dict(tree)`` copy through
+    ``__getitem__``, so a copied subtree counts as read key by key."""
+
+    def __init__(self, tree, seen, prefix=""):
+        super().__init__(tree)
+        self.seen, self.prefix = seen, prefix
+
+    def __getitem__(self, key):
+        path = self.prefix + key
+        self.seen.add(path)
+        value = super().__getitem__(key)
+        if isinstance(value, dict):
+            return ReadRecorder(value, self.seen, path + ".")
+        return value
+
+    def __iter__(self):
+        return super().__iter__()
+
+
+def config_leaves(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, prefix + key + ".")
+        else:
+            yield prefix + key
+
+
+# Config keys that no command reads, each with its reason.
+UNREAD_KEYS = {
+    # the depth scale of a frozen transverse radius is exp(-u kB T / W_up):
+    # the radial trap frequency cancels, and the key is accepted for old
+    # configs only
+    "spectrum.radial_frequency_hz",
+}
+
+
+def test_every_config_key_is_read(tmp_path):
+    from mwlattice.cli import COMMANDS
+    # the small noiseless spectrum and fit of test_fit_reports_diagnostics
+    tiny = {"solver": {"n_max": 5, "k_points": 8}}
+    spectrum = {"polarization_angles": [0.3538], "pulse_fwhm_us": 30.0,
+                "detuning_min_khz": -400.0, "detuning_max_khz": 0.0,
+                "n_detunings": 40, "thermal_samples": 1, "time_step_s": 1e-6}
+    fit = {"input_csv": str(tmp_path / "spectrum.csv"), "n_max": 5,
+           "k_points": 8, "thermal_samples": 1, "time_step_s": 1e-6,
+           "pulse_fwhm_us": 30.0, "atoms_per_point": 200,
+           "guess": {"dx": 0.10, "w_down": 825.0, "du_tot": -11.0,
+                     "t2d": 1e-5}}
+    runs = [
+        ("bands", dict(tiny, bands={"wannier_points": 11})),
+        ("fcf", dict(tiny, fcf={"n_shifts": 3})),
+        ("spectrum", dict(tiny, spectrum=spectrum)),
+        ("fit", {"fit": fit}),
+        ("cool", {"cool": {"n_max": 3, "evolve_ms": 0.1}}),
+        ("coolmap", {"cool": {"n_max": 3},
+                     "coolmap": {"eta_x_points": 2, "coupling_points": 2}}),
+        ("engineer", {"engineer": {"task": "superposition", "n_max": 3,
+                                   "pulse_areas": [0.5]}}),
+        ("engineer", {"engineer": {"task": "fock", "fock_m": 1,
+                                   "n_max": 3}}),
+        ("engineer", {"engineer": {"task": "coherent", "n_max": 6,
+                                   "coherent_eta_x": 0.5}}),
+        ("filter", {"filter": {"n_max": 3, "atoms": 50}}),
+    ]
+    assert {name for name, _ in runs} == set(COMMANDS)
+    seen = set()
+    for name, block in runs:
+        COMMANDS[name](ReadRecorder(resolve(block), seen), tmp_path,
+                       np.random.default_rng(0))
+    unread = set(config_leaves(DEFAULTS)) - seen
+    assert unread == UNREAD_KEYS
 
 
 def test_norm_drift_exits_3(tmp_path, monkeypatch, capsys):

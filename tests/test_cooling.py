@@ -109,7 +109,7 @@ def dense_liouvillian(p):
 
 
 @pytest.mark.parametrize("kw", [
-    {}, {"r_up": 2 * math.pi * 1e3, "aux_shifted": False}])
+    {}, {"r_up": 2 * math.pi * 1e3}])
 def test_sparse_liouvillian_matches_dense_assembly(kw):
     p = params(n_max=5, **kw)
     lio = build_liouvillian(p)
@@ -475,5 +475,3 @@ def test_temperature_extraction():
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         params(r_down=-1.0)
-    with pytest.raises(ValueError):
-        params(branching=(0.5, 0.5, 0.5))

@@ -4,20 +4,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.optimize._numdiff import approx_derivative
+from scipy.special import roots_laguerre
 
 from mwlattice.engineering import HarmonicModel
-from mwlattice.lattice import cesium, LatticeGeometry, potentials_from_angle
+from mwlattice.lattice import (KB, cesium, LatticeGeometry,
+                               potentials_from_angle, recoil_energy)
 from mwlattice import spectroscopy
 from mwlattice.spectroscopy import (FIT_NAMES, STACK_BLOCK, PulseSpec,
                                     SpectroscopyConfig, SpinMotionState,
-                                    ThermalEnsemble, _coupling_modes,
-                                    _fit_problem, _rotation_tables, _strang,
+                                    _coupling_modes, _fit_problem,
+                                    _rotation_tables, _strang,
                                     _stacked_transfers, _thermal_systems,
-                                    beam_waist, binomial_sigma,
-                                    boltzmann_populations, build_system,
-                                    evolve_pulse, fit_spectrum,
+                                    binomial_sigma, boltzmann_populations,
+                                    build_system, evolve_pulse, fit_spectrum,
                                     gaussian_pi_pulse, propagate_detunings,
-                                    radial_depth_scale,
                                     simulate_spectrum, system_from_potentials)
 
 ATOM = cesium()
@@ -233,23 +233,46 @@ def test_sideband_peak_positions():
     assert p[1] > 5 * p[0] and p[1] > 5 * p[2]
 
 
-def test_thermal_ensemble_weights():
-    ens = ThermalEnsemble(10e-6, 2 * math.pi * 1e3, 8)
-    rhos, weights = ens.nodes(ATOM)
+def waist_depth_scales(t2d, radial_hz, n_nodes, w_up=850.0):
+    """Node depth scales exp(-2 rho^2 / w0^2) from the transverse radius
+    rho = sigma sqrt(2u), sigma = sqrt(kB T / (m omega_r^2)), and the beam
+    waist w0 = sqrt(4 W_up / (m omega_r^2)) at radial trap frequency
+    omega_r."""
+    omega_r = 2 * math.pi * radial_hz
+    sigma = math.sqrt(KB * t2d / (ATOM.mass * omega_r ** 2))
+    rhos = sigma * np.sqrt(2.0 * roots_laguerre(n_nodes)[0])
+    w_joule = w_up * recoil_energy(ATOM, 865.95)
+    waist = math.sqrt(4.0 * w_joule / (ATOM.mass * omega_r ** 2))
+    return np.array([math.exp(-2.0 * rho ** 2 / waist ** 2) for rho in rhos])
+
+
+def thermal_nodes(monkeypatch, t2d, n_nodes):
+    """(depth scale, weight) of every node of ``_thermal_systems``: with
+    w_down = 1 the scaled down depth is the scale itself."""
+    scales = []
+    monkeypatch.setattr(spectroscopy, "system_from_potentials",
+                        lambda w_up, w_down, *a, **kw: scales.append(w_down))
+    cfg = SpectroscopyConfig(n_max=2, thermal_samples=n_nodes)
+    entries = _thermal_systems(850.0, 1.0, 1.0, 0.1, t2d, ATOM, 865.95, cfg)
+    return np.array(scales), np.array([e[2] for e in entries])
+
+
+def test_node_depth_scales_match_beam_waist_formula(monkeypatch):
+    # the radial trap frequency cancels from the Gaussian-beam depth scale
+    for n_nodes in (2, 6, 8):
+        scales, weights = thermal_nodes(monkeypatch, 10e-6, n_nodes)
+        assert scales.size == weights.size == n_nodes
+        for radial_hz in (1e3, 2.5e3):
+            ref = waist_depth_scales(10e-6, radial_hz, n_nodes)
+            assert np.abs(scales / ref - 1).max() < 1e-15
+    # the depth average is the Laplace transform of the 2-D Boltzmann
+    # distribution in u: 1 / (1 + kB T / W_up)
+    a = KB * 10e-6 / (850.0 * recoil_energy(ATOM, 865.95))
+    assert abs(np.sum(weights * scales) - 1 / (1 + a)) < 1e-12
     assert weights.sum() == pytest.approx(1.0, rel=1e-12)
-    assert np.all(rhos >= 0) and np.all(np.diff(rhos) > 0)
-    # mean rho^2 of the 2-D Boltzmann distribution is 2 sigma^2
-    sigma = ens.sigma(ATOM)
-    assert np.sum(weights * rhos ** 2) == pytest.approx(2 * sigma ** 2,
-                                                        rel=1e-6)
-
-
-def test_beam_waist_value():
-    geom = LatticeGeometry(865.95, 850.0, 0.0)
-    w0 = beam_waist(geom, ATOM, 2 * math.pi * 1e3)
-    assert w0 * 1e6 == pytest.approx(22.75, rel=1e-2)
-    assert radial_depth_scale(0.0, w0) == 1.0
-    assert radial_depth_scale(w0, w0) == pytest.approx(math.exp(-2), rel=1e-12)
+    # a cold ensemble is one node at full depth
+    scales, weights = thermal_nodes(monkeypatch, 0.0, 8)
+    assert scales.tolist() == [1.0] and weights.tolist() == [1.0]
 
 
 def test_boltzmann_populations_ratio():
@@ -292,12 +315,11 @@ def test_fit_model_honours_axial_temperature():
     geom = LatticeGeometry(865.95, 850.0, 0.8770)
     cfg = SpectroscopyConfig(n_max=6, k_points=16, thermal_samples=2,
                              axial_temperature=5e-6, dt=3e-7)
-    ens = ThermalEnsemble(10e-6, cfg.omega_rad, cfg.thermal_samples)
     pulse = gaussian_pi_pulse(30e-6)
     system = build_system(geom, ATOM, n_max=6, k_points=16)
     detunings = np.array([system.resonance(n, n2) for n in range(3)
                           for n2 in range(3)])
-    observed = simulate_spectrum(geom, ATOM, pulse, detunings, ensemble=ens,
+    observed = simulate_spectrum(geom, ATOM, pulse, detunings, t2d=10e-6,
                                  cfg=cfg).transfer
     up, down, dx = potentials_from_angle(geom, ATOM)
     truth = {"dx": dx, "w_down": down.contrast,
@@ -316,9 +338,8 @@ def thermal_states(n_nodes=3, axial_temperature=0.0, n_max=6):
     cfg = SpectroscopyConfig(n_max=n_max, k_points=16,
                              thermal_samples=n_nodes,
                              axial_temperature=axial_temperature)
-    ens = ThermalEnsemble(10e-6, cfg.omega_rad, n_nodes)
     return _thermal_systems(up.contrast, down.contrast, down.total_depth, dx,
-                            ens, ATOM, 865.95, cfg)
+                            10e-6, ATOM, 865.95, cfg)
 
 
 def test_stacked_loop_matches_separate_calls():
@@ -409,9 +430,8 @@ def small_fit_problem(t2d_guess):
     system = build_system(FIT_GEOM, ATOM, n_max=6, k_points=16)
     detunings = np.array([system.resonance(0, n) + 2 * math.pi * 1e3 * off
                           for n in range(4) for off in (-4.0, 0.0, 5.0)])
-    ens = ThermalEnsemble(10e-6, cfg.omega_rad, cfg.thermal_samples)
     observed = simulate_spectrum(FIT_GEOM, ATOM, pulse, detunings,
-                                 ensemble=ens, cfg=cfg).transfer
+                                 t2d=10e-6, cfg=cfg).transfer
     up, down, dx = potentials_from_angle(FIT_GEOM, ATOM)
     truth = {"dx": dx, "w_down": down.contrast,
              "du_tot": -up.contrast - down.total_depth, "t2d": 10e-6}
