@@ -120,10 +120,6 @@ def _validate(user, default, path):
         if user is not None and not isinstance(user, (_NUMERIC + (str,))):
             raise ConfigError(f"'{loc}' must be a scalar or null")
         return user
-    if isinstance(default, bool):
-        if not isinstance(user, bool):
-            raise ConfigError(f"'{loc}' must be a boolean")
-        return user
     if isinstance(default, _NUMERIC):
         if isinstance(user, bool) or not isinstance(user, _NUMERIC):
             raise ConfigError(f"'{loc}' must be a number")

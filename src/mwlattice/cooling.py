@@ -32,7 +32,6 @@ from .lattice import HBAR, KB
 from .franck_condon import fcf_harmonic_matrix
 
 SPIN_UP, SPIN_DOWN, SPIN_AUX = 0, 1, 2
-SPIN_NAMES = ("up", "down", "aux")
 
 # Branching ratios of the optically excited state into (up, down, aux),
 # from angular-momentum coupling of its spontaneous decay channels.

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import roots_laguerre
 
 from .franck_condon import fcf_harmonic_matrix
@@ -45,12 +44,11 @@ NOISE_TOLERANCE = 0.05
 
 @dataclass(frozen=True)
 class MicrowavePulse:
-    """Microwave pulse step; ``target`` = (n_up, n_down) selects the
-    transition the detuning is set on (resonant unless ``detuning_offset``)."""
+    """Microwave pulse step, resonant with the transition ``target`` =
+    (n_up, n_down)."""
 
     pulse: PulseSpec
     target: tuple[int, int] = (0, 0)
-    detuning_offset: float = 0.0    # rad/s added to the resonance
 
 
 @dataclass(frozen=True)
@@ -69,16 +67,13 @@ class RepumpPulse:
 
 @dataclass(frozen=True)
 class PushOut:
-    """State-selective removal of one spin's population; survival is
-    tracked as the remaining trace."""
+    """State-selective removal of all of one spin's population; survival
+    is tracked as the remaining trace."""
 
     spin: str = "up"
-    efficiency: float = 1.0
 
     def __post_init__(self):
         _spin_block(self.spin, 0)        # "up" or "down", else ValueError
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -175,8 +170,7 @@ def run_sequence(initial: SequenceState, steps: list[SequenceStep],
             if not (0 <= n_up <= model.n_max and 0 <= n_down <= model.n_max):
                 raise ValueError(f"pulse target {step.target} outside the "
                                  f"levels 0..{model.n_max}")
-            detuning = (model.system(state.eta_x).resonance(n_up, n_down)
-                        + step.detuning_offset)
+            detuning = model.system(state.eta_x).resonance(n_up, n_down)
             pulse = replace(step.pulse, detuning=detuning)
             u = pulse_unitary(model, pulse, state.eta_x)
             state.rho = u @ state.rho @ u.conj().T
@@ -192,8 +186,7 @@ def run_sequence(initial: SequenceState, steps: list[SequenceStep],
             state.rho = rho / tr
         elif isinstance(step, PushOut):
             keep = np.ones(2 * m)
-            keep[_spin_block(step.spin, model.n_max)] = math.sqrt(
-                1.0 - step.efficiency)
+            keep[_spin_block(step.spin, model.n_max)] = 0.0
             state.rho = keep[:, None] * state.rho * keep[None, :]
             state.survival = float(np.real(np.trace(state.rho)))
         else:
@@ -210,15 +203,12 @@ def coupling_maximizing_shift(model: HarmonicModel, n_up: int,
     """Shift eta_x maximizing |K[n_down, n_up]|.
 
     From |up,0> the coupling e^{-eta^2/2} eta^m / sqrt(m!) peaks at
-    eta = sqrt(m) exactly; other rows are searched on (0, 4].
+    eta = sqrt(m) exactly; only n_up = 0 is supported.
     """
-    if n_up == 0:
-        return math.sqrt(n_down)
-
-    def neg(eta):
-        return -abs(model.coupling(eta)[n_down, n_up])
-    res = minimize_scalar(neg, bounds=(1e-3, 4.0), method="bounded")
-    return float(res.x)
+    if n_up != 0:
+        raise ValueError(f"coupling_maximizing_shift supports n_up = 0 only, "
+                         f"got n_up = {n_up}")
+    return math.sqrt(n_down)
 
 
 def zero_coupling_shift(model: HarmonicModel, n: int) -> float:

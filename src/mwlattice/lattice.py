@@ -21,8 +21,6 @@ from scipy import constants as si
 HBAR = si.hbar
 KB = si.k
 
-# Cs 6S1/2 clock splitting, exact by definition of the SI second.
-_CS_HYPERFINE_HZ = 9_192_631_770.0
 _CS_MASS_KG = 132.905451931 * si.atomic_mass
 
 # Weights of the sigma+ and sigma- standing waves in the down-spin potential
@@ -39,7 +37,6 @@ class AtomConstants:
     mass: float               # kg
     d1_wavelength: float      # nm
     d2_wavelength: float      # nm
-    hyperfine_splitting: float  # rad/s
 
     def __post_init__(self):
         if self.mass <= 0:
@@ -53,7 +50,6 @@ def cesium() -> AtomConstants:
         mass=_CS_MASS_KG,
         d1_wavelength=894.6,
         d2_wavelength=852.3,
-        hyperfine_splitting=2 * math.pi * _CS_HYPERFINE_HZ,
     )
 
 
@@ -89,8 +85,6 @@ class SpinPotential:
 
     contrast: float       # W_s, E_R
     total_depth: float    # U_s^tot, E_R (<= 0)
-    center: float         # x_s^0, units of d
-    trap_frequency: float  # omega_vib, rad/s, harmonic approximation
 
 
 @dataclass(frozen=True)
@@ -160,11 +154,7 @@ def potentials_from_angle(geom: LatticeGeometry, atom: AtomConstants
     x_down = -phi / (2 * math.pi)
     dx = x_up - x_down
 
-    lam = geom.lattice_wavelength
-    up = SpinPotential(w_up, u_up_tot, x_up, trap_frequency(w_up, atom, lam))
-    down = SpinPotential(w_down, u_down_tot, x_down,
-                         trap_frequency(w_down, atom, lam))
-    return up, down, dx
+    return SpinPotential(w_up, u_up_tot), SpinPotential(w_down, u_down_tot), dx
 
 
 def lamb_dicke(dx_nm: float, omega_vib: float, atom: AtomConstants,

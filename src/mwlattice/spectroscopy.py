@@ -336,16 +336,13 @@ def _strang_steps(u: np.ndarray, sigma: np.ndarray, v: np.ndarray,
             merged = np.concatenate(([dd_prev], dd[:-1])) + dd
             up_phase = np.exp(0.5j * dt * merged)
             dd_prev = float(dd[-1])
-        for j, (i, om) in enumerate(zip(steps, omega.tolist())):
+        for j, i in enumerate(steps):
             if chirp and merged[j] != 0.0:
                 psi[:, :m] *= up_phase[j]
             if i == n_steps - 1:
                 np.exp(np.multiply(diag, -0.5j * dt, out=full), out=full)
-            if om != 0.0:
-                np.matmul(rotation[:, j], psi_f, out=work_f)
-                np.multiply(work, full, out=psi)
-            else:
-                psi *= full
+            np.matmul(rotation[:, j], psi_f, out=work_f)
+            np.multiply(work, full, out=psi)
     if dd_prev != 0.0:
         psi[:, :m] *= cmath.exp(0.5j * dt * dd_prev)
     psi[:, m:] *= 1j
@@ -581,9 +578,8 @@ class FitResult:
 
 
 # Relative finite-difference step of the fit's Jacobian (least_squares'
-# ``diff_step``), and the fallback relative step where it rounds to zero.
+# ``diff_step``).
 DIFF_STEP = 1e-4
-FALLBACK_STEP = math.sqrt(np.finfo(float).eps)
 
 FIT_NAMES = ("dx", "w_down", "du_tot", "t2d")
 
@@ -592,17 +588,13 @@ def _fit_problem(detunings: np.ndarray, observed: np.ndarray,
                  sigma: np.ndarray, initial_guess: dict[str, float],
                  w_up: float, atom: AtomConstants, lattice_wavelength: float,
                  pulse: PulseSpec, cfg: SpectroscopyConfig):
-    """(residuals, jacobian, z0, lower, scale) of the scaled fit problem.
+    """(residuals, stacked, z0, lower, scale) of the scaled fit problem.
 
-    The parameters are z = theta / scale.  ``jacobian(z)`` forms the forward
-    differences of scipy's '2-point' rule at relative step ``DIFF_STEP``
-    (``_numdiff._compute_absolute_step`` and ``_adjust_scheme_to_bounds``):
-    h = DIFF_STEP * sign(z) |z| with sign(0) = +1, falling back to
-    FALLBACK_STEP * sign(z) max(1, |z|) where z + h rounds to z, reversed
-    where z + h leaves the bounds, and divided by the re-rounded step
-    (z + h) - z.  The perturbed points' thermal states all run in one
-    stacked Strang loop; f(z) comes from the last residual call when that
-    was at the same z.
+    The parameters are z = theta / scale.  ``stacked(fun, points)`` is the
+    ``workers`` map of ``least_squares``: it ignores ``fun`` and returns
+    ``[residuals(p) for p in points]``, with the thermal states of every
+    point in one stacked Strang loop, so the perturbed points of scipy's
+    '2-point' Jacobian run together.
     """
     x0 = np.array([initial_guess[k] for k in FIT_NAMES], dtype=float)
     scale = np.array([max(abs(v), 1e-3) for v in x0])
@@ -613,31 +605,15 @@ def _fit_problem(detunings: np.ndarray, observed: np.ndarray,
         return _thermal_systems(w_up, w_down, -w_up - du_tot, dx, t2d, atom,
                                 lattice_wavelength, cfg)
 
-    last = {}
-
-    def residuals(z):
-        model = _stacked_transfers([states(z)], pulse, detunings, cfg.dt)[0]
-        f = (model - observed) / sigma
-        last["z"], last["f"] = np.array(z, dtype=float), f
-        return f
-
-    def jacobian(z):
-        z = np.asarray(z, dtype=float)
-        f0 = last["f"] if np.array_equal(last.get("z"), z) else residuals(z)
-        sign = np.where(z >= 0, 1.0, -1.0)
-        h = DIFF_STEP * sign * np.abs(z)
-        h = np.where((z + h) - z == 0,
-                     FALLBACK_STEP * sign * np.maximum(1.0, np.abs(z)), h)
-        h = np.where(z + h < lower, -h, h)
-        points = np.tile(z, (z.size, 1))
-        points[np.diag_indices(z.size)] += h
+    def stacked(_, points):
         models = _stacked_transfers([states(p) for p in points], pulse,
                                     detunings, cfg.dt)
-        columns = [((mdl - observed) / sigma - f0) / ((zi + hi) - zi)
-                   for mdl, zi, hi in zip(models, z, h)]
-        return np.column_stack(columns)
+        return [(model - observed) / sigma for model in models]
 
-    return residuals, jacobian, x0 / scale, lower, scale
+    def residuals(z):
+        return stacked(None, [z])[0]
+
+    return residuals, stacked, x0 / scale, lower, scale
 
 
 def fit_spectrum(detunings: np.ndarray, observed: np.ndarray,
@@ -649,21 +625,22 @@ def fit_spectrum(detunings: np.ndarray, observed: np.ndarray,
     """Weighted least squares over {dx, w_down, du_tot, t2d}.
 
     ``dx`` in units of d, depths in E_R, ``t2d`` in kelvin.  The Jacobian is
-    the forward difference of ``_fit_problem``, whose perturbed points run in
-    one stacked propagation, so a Jacobian costs one pass of the stacked
-    loop rather than four objective calls.  The sigma are absolute errors,
-    so the covariance is inv(J^T J), widened by chi^2/dof when that exceeds
-    1 (the model fits worse than the errors allow) and never narrowed.
+    scipy's '2-point' rule at relative step ``DIFF_STEP``; its perturbed
+    points go to the ``workers`` map of ``_fit_problem``, so a Jacobian
+    costs one pass of the stacked loop rather than four objective calls.
+    The sigma are absolute errors, so the covariance is inv(J^T J), widened
+    by chi^2/dof when that exceeds 1 (the model fits worse than the errors
+    allow) and never narrowed.
     """
     detunings = np.asarray(detunings, dtype=float)
     observed = np.asarray(observed, dtype=float)
     sigma = np.maximum(np.asarray(sigma, dtype=float), 1e-4)
-    residuals, jacobian, z0, lower, scale = _fit_problem(
+    residuals, stacked, z0, lower, scale = _fit_problem(
         detunings, observed, sigma, initial_guess, w_up, atom,
         lattice_wavelength, pulse, cfg)
-    res = least_squares(residuals, z0, jac=jacobian, bounds=(lower, np.inf),
-                        xtol=1e-12, ftol=1e-12, gtol=1e-12,
-                        max_nfev=max_nfev)
+    res = least_squares(residuals, z0, diff_step=DIFF_STEP, workers=stacked,
+                        bounds=(lower, np.inf), xtol=1e-12, ftol=1e-12,
+                        gtol=1e-12, max_nfev=max_nfev)
     theta = res.x * scale
     # covariance from J^T J of the scaled problem (z = theta / scale), whose
     # conditioning the units do not distort; flag degeneracy instead of

@@ -147,6 +147,11 @@ def test_coupling_maximizing_shift_matches_search(m):
     assert eta == math.sqrt(m)
 
 
+def test_coupling_maximizing_shift_rejects_excited_up_level():
+    with pytest.raises(ValueError, match="n_up = 1"):
+        coupling_maximizing_shift(MODEL, 1, 2)
+
+
 def test_superposition_population_split():
     st_ = superposition_sequence(MODEL, 0.5)
     p0, p2 = st_.fidelity("down", 0), st_.fidelity("down", 2)
