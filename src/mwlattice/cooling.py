@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply, splu
 
-from .lattice import HBAR, KB
+from .lattice import HBAR, KB, thermal_populations
 from .franck_condon import fcf_harmonic_matrix
 
 SPIN_UP, SPIN_DOWN, SPIN_AUX = 0, 1, 2
@@ -436,18 +436,12 @@ def evolve(params: CoolingParams, rho0: np.ndarray, duration: float,
 
 def thermal_state(params: CoolingParams, n_bar: float,
                   spin: int = SPIN_UP) -> np.ndarray:
-    """Thermal motional distribution in one spin state (truncated)."""
-    m = params.levels
-    if n_bar <= 0:
-        p = np.zeros(m)
-        p[0] = 1.0
-    else:
-        x = n_bar / (n_bar + 1.0)
-        p = x ** np.arange(m)
-        p /= p.sum()
+    """Density matrix of ``thermal_populations`` at ratio n_bar / (n_bar + 1)
+    in one spin state; n_bar <= 0 gives the motional ground state."""
+    ratio = n_bar / (n_bar + 1.0) if n_bar > 0 else 0.0
     rho = np.zeros((params.dim, params.dim), dtype=complex)
-    idx = spin * m + np.arange(m)
-    rho[idx, idx] = p
+    idx = spin * params.levels + np.arange(params.levels)
+    rho[idx, idx] = thermal_populations(ratio, params.n_max)
     return rho
 
 

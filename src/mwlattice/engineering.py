@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import roots_laguerre
 
 from .franck_condon import fcf_harmonic_matrix
+from .lattice import thermal_populations
 from .spectroscopy import (PulseSpec, SidebandSystem, SpinMotionState,
                            _spin_block, propagate_detunings)
 
@@ -155,8 +156,10 @@ def run_sequence(initial: SequenceState, steps: list[SequenceStep],
                  model: HarmonicModel) -> SequenceState:
     """Apply the steps in order; returns the final state.
 
-    Push-out steps leave the density matrix unnormalized (its trace is the
-    survival probability, also accumulated in ``state.survival``).
+    A pulse is set resonant with its target (n_up, n_down), detuning
+    (n_up - n_down) omega_vib, and ``pulse_unitary`` builds its coupling
+    table.  Push-out steps leave the density matrix unnormalized (its trace
+    is the survival probability, also accumulated in ``state.survival``).
     """
     state = replace(initial, rho=initial.rho.copy())
     m = model.n_max + 1
@@ -170,7 +173,8 @@ def run_sequence(initial: SequenceState, steps: list[SequenceStep],
             if not (0 <= n_up <= model.n_max and 0 <= n_down <= model.n_max):
                 raise ValueError(f"pulse target {step.target} outside the "
                                  f"levels 0..{model.n_max}")
-            detuning = model.system(state.eta_x).resonance(n_up, n_down)
+            # float for float energy[n_up] - energy[n_down] of model.system
+            detuning = n_up * model.omega_vib - n_down * model.omega_vib
             pulse = replace(step.pulse, detuning=detuning)
             u = pulse_unitary(model, pulse, state.eta_x)
             state.rho = u @ state.rho @ u.conj().T
@@ -310,13 +314,10 @@ class PopulationDistribution:
 
     @classmethod
     def thermal(cls, n_bar: float, n_max: int) -> "PopulationDistribution":
-        if n_bar <= 0:
-            p = np.zeros(n_max + 1)
-            p[0] = 1.0
-            return cls(p)
-        x = n_bar / (n_bar + 1.0)
-        p = (1 - x) * x ** np.arange(n_max + 1)
-        return cls(p / p.sum())
+        """``lattice.thermal_populations`` at ratio n_bar / (n_bar + 1);
+        n_bar <= 0 gives the ground state."""
+        ratio = n_bar / (n_bar + 1.0) if n_bar > 0 else 0.0
+        return cls(thermal_populations(ratio, n_max))
 
     def cumulative(self, n: int) -> float:
         """F_n = probability of occupying a level below n."""

@@ -3,8 +3,9 @@
 ``fcf_exact`` evaluates I_{n}^{n'}(dx) = <n', bra | T_dx | n, ket> directly in
 the shared plane-wave basis, where T_dx is the position shift operator; the
 bra and ket coefficient families may come from different lattice depths.
-``fcf_harmonic`` is the displaced-harmonic-oscillator closed form used as the
-deep-lattice analytic limit and by the cooling model.
+``fcf_harmonic_matrix`` is the displaced-harmonic-oscillator closed form, the
+deep-lattice analytic limit that the cooling and engineering models use;
+``fcf_harmonic`` is its scalar element, the tests' oracle.
 """
 
 from __future__ import annotations

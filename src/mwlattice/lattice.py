@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import constants as si
 
 HBAR = si.hbar
@@ -123,7 +124,7 @@ def magic_wavelength(atom: AtomConstants) -> float:
     return l2 + (l1 - l2) / (2 * l1 / l2 + 1)
 
 
-def potentials_from_angle(geom: LatticeGeometry, atom: AtomConstants
+def potentials_from_angle(geom: LatticeGeometry
                           ) -> tuple[SpinPotential, SpinPotential, float]:
     """Spin potentials and their relative shift for a polarization angle.
 
@@ -155,6 +156,16 @@ def potentials_from_angle(geom: LatticeGeometry, atom: AtomConstants
     dx = x_up - x_down
 
     return SpinPotential(w_up, u_up_tot), SpinPotential(w_down, u_down_tot), dx
+
+
+def thermal_populations(ratio: float, n_max: int) -> np.ndarray:
+    """Truncated thermal ladder p_n ~ ratio^n, normalized over n = 0..n_max.
+
+    ``ratio`` = exp(-hbar omega / kB T) = n_bar / (n_bar + 1); a ratio of 0
+    gives the ground state (0.0 ** 0 is 1).
+    """
+    p = ratio ** np.arange(n_max + 1)
+    return p / p.sum()
 
 
 def lamb_dicke(dx_nm: float, omega_vib: float, atom: AtomConstants,

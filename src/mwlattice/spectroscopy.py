@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import least_squares
-from scipy.signal import find_peaks
 from scipy.special import roots_laguerre
 
 from .lattice import (
     HBAR, KB, AtomConstants, LatticeGeometry, potentials_from_angle,
-    recoil_energy, trap_frequency,
+    recoil_energy, thermal_populations, trap_frequency,
 )
 from .bands import cached_bands, default_q_cutoff
 from .franck_condon import fcf_exact
@@ -118,9 +117,6 @@ class SpinMotionState:
         """Total population in the down spin."""
         return float(self.populations("down").sum())
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class SidebandSystem:
@@ -147,19 +143,14 @@ class SidebandSystem:
         """Microwave detuning of the |up,n> -> |down,n'> transition (rad/s)."""
         return float(self.energy_up[n_up] - self.energy_down[n_down])
 
-    def hamiltonian_parts(self):
-        """(diagonal base, up-projector diagonal, coupling matrix).
-
-        Rotating frame: H(t)/hbar = diag(base) - delta * diag(up_proj)
-        - Omega(t)/2 * C, with C symmetric carrying the FC couplings.
+    def diagonal(self, detunings) -> np.ndarray:
+        """Rotating-frame diagonal of H/hbar, (dim, N), one column per
+        detuning delta: eps_{s,n}, minus delta on the up rows.  With
+        C = [[0, F^T], [F, 0]], F = ``fc_matrix``, H/hbar = diag - Omega/2 C.
         """
-        m = self.energy_up.size
-        base = np.concatenate([self.energy_up, self.energy_down])
-        up_proj = np.concatenate([np.ones(m), np.zeros(m)])
-        c = np.zeros((2 * m, 2 * m))
-        c[:m, m:] = self.fc_matrix.T
-        c[m:, :m] = self.fc_matrix
-        return base, up_proj, c
+        up = self.energy_up[:, None] - np.atleast_1d(detunings)
+        return np.concatenate(
+            [up, np.broadcast_to(self.energy_down[:, None], up.shape)])
 
 
 def build_system(geom: LatticeGeometry, atom: AtomConstants, n_max: int = 15,
@@ -170,7 +161,7 @@ def build_system(geom: LatticeGeometry, atom: AtomConstants, n_max: int = 15,
     ``depth_scale`` rescales both contrasts and total depths (transverse
     Gaussian-profile factor); the shift dx is polarization-set and unscaled.
     """
-    up, down, dx = potentials_from_angle(geom, atom)
+    up, down, dx = potentials_from_angle(geom)
     return system_from_potentials(
         w_up=up.contrast * depth_scale,
         w_down=down.contrast * depth_scale,
@@ -368,14 +359,12 @@ def propagate_detunings(system: SidebandSystem, pulse: PulseSpec,
     rotation matrices) is computed with numpy a chunk of steps at a time,
     and the rows are transposed back on return.
     """
-    detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
-    base, up_proj, _ = system.hamiltonian_parts()
-    diag = base[None, :] - np.multiply.outer(detunings, up_proj)  # (Nd, dim)
+    diag = system.diagonal(detunings)                            # (dim, Nd)
     amps = initial.amplitudes
-    shape = np.broadcast_shapes(amps.shape, diag.shape)
+    shape = np.broadcast_shapes(amps.shape, diag.T.shape)
     psi = np.array(np.broadcast_to(amps, shape).T[None], dtype=complex,
                    order="C")
-    _strang(system.fc_matrix[None], diag.T[None], psi, pulse, dt)
+    _strang(system.fc_matrix[None], diag[None], psi, pulse, dt)
     return psi[0].T.copy()
 
 
@@ -387,12 +376,13 @@ def evolve_pulse(system: SidebandSystem, pulse: PulseSpec,
     DOP853 (rtol 1e-10, atol 1e-12); the accuracy cross-check for the
     split-step ``propagate_detunings``, which the package uses.
     """
-    base, up_proj, c = system.hamiltonian_parts()
+    fc = system.fc_matrix
+    c = np.block([[np.zeros_like(fc), fc.T], [fc, np.zeros_like(fc)]])
 
     def rhs(t, y):
         psi = y.view(complex)
-        delta = pulse.instantaneous_detuning(t)
-        h = (base - delta * up_proj) * psi - 0.5 * pulse.rabi(t) * (c @ psi)
+        diag = system.diagonal(pulse.instantaneous_detuning(t))[:, 0]
+        h = diag * psi - 0.5 * pulse.rabi(t) * (c @ psi)
         return (-1j * h).view(float)
 
     y0 = initial.amplitudes.astype(complex).view(float)
@@ -401,18 +391,6 @@ def evolve_pulse(system: SidebandSystem, pulse: PulseSpec,
     if not sol.success:
         raise RuntimeError(f"pulse integration failed: {sol.message}")
     return SpinMotionState(sol.y[:, -1].view(complex).copy())
-
-
-def boltzmann_populations(n_max: int, omega_vib: float,
-                          temperature: float) -> np.ndarray:
-    """Truncated thermal distribution over vibrational levels."""
-    if temperature <= 0:
-        p = np.zeros(n_max + 1)
-        p[0] = 1.0
-        return p
-    x = HBAR * omega_vib / (KB * temperature)
-    p = np.exp(-x * np.arange(n_max + 1))
-    return p / p.sum()
 
 
 @dataclass(frozen=True)
@@ -430,6 +408,7 @@ class SpectrumResult:
 
     def locate_peaks(self, min_height: float = 0.02,
                      prominence: float = 0.02) -> list[SpectrumPeak]:
+        from scipy.signal import find_peaks   # its import pulls in scipy.stats
         idx, _ = find_peaks(self.transfer, height=min_height,
                             prominence=prominence)
         out = []
@@ -476,9 +455,10 @@ def _thermal_systems(w_up: float, w_down: float, u_down_tot: float,
     u = m omega_r^2 rho^2 / (2 kB T) this is g = exp(-u kB T / W_up), free
     of omega_r.  ``cfg.thermal_samples`` nodes are used, or one node at
     g = 1 when t2d <= 0.  At each node the bands and Franck-Condon tables
-    are re-derived; each initial level with Boltzmann population >= 1e-6 at
-    ``cfg.axial_temperature`` (with the node's up-spin trap frequency) is
-    one entry, weighted by node weight times population.
+    are re-derived; each level of ``thermal_populations`` >= 1e-6, at ratio
+    exp(-hbar omega / kB T) (T = ``cfg.axial_temperature``, omega the node's
+    up-spin trap frequency; 0 at T <= 0), is one entry weighted by node
+    weight times population.
     """
     q_cut = cfg.q_cutoff or default_q_cutoff(w_up)
     if t2d > 0.0:
@@ -487,15 +467,16 @@ def _thermal_systems(w_up: float, w_down: float, u_down_tot: float,
         scales, weights = np.exp(-u * KB * t2d / w_joule), w / w.sum()
     else:
         scales, weights = np.ones(1), np.ones(1)
+    t_ax = cfg.axial_temperature
     entries = []
     for g, w_node in zip(scales, weights):
         system = system_from_potentials(
             w_up * g, w_down * g, u_down_tot * g, dx, atom,
             lattice_wavelength, n_max=cfg.n_max, k_points=cfg.k_points,
             q_cutoff=q_cut)
-        pops = boltzmann_populations(
-            cfg.n_max, trap_frequency(w_up * g, atom, lattice_wavelength),
-            cfg.axial_temperature)
+        omega = trap_frequency(w_up * g, atom, lattice_wavelength)
+        ratio = math.exp(-HBAR * omega / (KB * t_ax)) if t_ax > 0 else 0.0
+        pops = thermal_populations(ratio, cfg.n_max)
         entries += [(system, n0, w_node * p0) for n0, p0 in enumerate(pops)
                     if p0 >= 1e-6]
     return entries
@@ -514,8 +495,7 @@ def _stacked_transfers(groups: list[list[tuple[SidebandSystem, int, float]]],
     diag = np.empty((len(entries), dim, detunings.size))
     psi = np.zeros((len(entries), dim, detunings.size), dtype=complex)
     for s, (system, n0, _) in enumerate(entries):
-        base, up_proj, _ = system.hamiltonian_parts()
-        diag[s] = base[:, None] - np.multiply.outer(up_proj, detunings)
+        diag[s] = system.diagonal(detunings)
         psi[s, n0] = 1.0
     _strang(np.array([e[0].fc_matrix for e in entries]), diag, psi, pulse,
             dt)
@@ -544,7 +524,7 @@ def simulate_spectrum(geom: LatticeGeometry, atom: AtomConstants,
     (frozen-position approximation; ``_thermal_systems``).
     """
     detunings = np.asarray(detunings, dtype=float)
-    up, down, dx = potentials_from_angle(geom, atom)
+    up, down, dx = potentials_from_angle(geom)
     states = _thermal_systems(up.contrast, down.contrast, down.total_depth,
                               dx, t2d, atom, geom.lattice_wavelength, cfg)
     transfer = _stacked_transfers([states], pulse, detunings, cfg.dt)[0]

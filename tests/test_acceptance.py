@@ -156,7 +156,7 @@ def test_criterion_05_composite_spectrum_shape():
                 got.setdefault(n, p)
         detected |= set(got)
         if th == 0.3538 and 0 in got and 1 in got:
-            up, down, _ = potentials_from_angle(geom, ATOM)
+            up, down, _ = potentials_from_angle(geom)
             omega_d = trap_frequency(down.contrast, ATOM, 865.95)
             spacing_ratio = (got[0].center - got[1].center) / omega_d
     # carrier FWHM on a fine grid (theta = 0: pure carrier line)
@@ -187,7 +187,7 @@ def fit_truth_and_spectrum():
     """Truth, detunings and noiseless model of both crit 06 fits, simulated
     once (6 thermal nodes, 700 detunings)."""
     geom = LatticeGeometry(865.95, DEPTH_UP, 1.3167)
-    up, down, dx = potentials_from_angle(geom, ATOM)
+    up, down, dx = potentials_from_angle(geom)
     truth = {"dx": dx, "w_down": down.contrast,
              "du_tot": -up.contrast - down.total_depth, "t2d": 1e-5}
     det = 2 * math.pi * 1e3 * np.linspace(-1384.1, -135.8, 700)

@@ -1,11 +1,26 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mwlattice
 from mwlattice.cli import main
 from mwlattice.config import ConfigError, DEFAULTS, dumps, load_config, resolve
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal (and the scipy.stats it imports) is loaded only by
+    # SpectrumResult.locate_peaks, not at every start of the CLI
+    src = str(Path(mwlattice.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import mwlattice.cli; print('scipy.signal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

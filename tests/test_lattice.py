@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from mwlattice.lattice import (HBAR, cesium, ground_state_width, lamb_dicke,
                                LatticeGeometry, magic_wavelength,
                                potentials_from_angle, recoil_energy,
-                               trap_frequency)
+                               thermal_populations, trap_frequency)
 
 ATOM = cesium()
 
@@ -42,7 +42,7 @@ def test_ground_state_width_consistency():
 
 def test_zero_angle_identical_potentials():
     geom = LatticeGeometry(865.95, 850.0, 0.0)
-    up, down, dx = potentials_from_angle(geom, ATOM)
+    up, down, dx = potentials_from_angle(geom)
     assert down.contrast == pytest.approx(up.contrast, rel=1e-12)
     assert dx == pytest.approx(0.0, abs=1e-15)
     assert down.total_depth == pytest.approx(-850.0, rel=1e-12)
@@ -50,7 +50,7 @@ def test_zero_angle_identical_potentials():
 
 def test_right_angle_limits():
     geom = LatticeGeometry(865.95, 850.0, math.pi / 2)
-    up, down, dx = potentials_from_angle(geom, ATOM)
+    up, down, dx = potentials_from_angle(geom)
     # down contrast collapses to |w- - w+| W_up = (3/4) W_up; dx = d/2
     assert down.contrast == pytest.approx(0.75 * 850.0, rel=1e-9)
     assert dx == pytest.approx(0.5, rel=1e-9)
@@ -59,7 +59,7 @@ def test_right_angle_limits():
 @given(st.floats(min_value=0.0, max_value=math.pi / 2))
 def test_angle_sweep_invariants(theta):
     geom = LatticeGeometry(865.95, 850.0, theta)
-    up, down, dx = potentials_from_angle(geom, ATOM)
+    up, down, dx = potentials_from_angle(geom)
     assert up.contrast == 850.0
     assert 0.0 <= down.contrast <= up.contrast + 1e-9
     assert 0.0 <= dx <= 0.5 + 1e-12
@@ -69,9 +69,19 @@ def test_angle_sweep_invariants(theta):
 
 def test_shift_monotone_in_angle():
     thetas = np.linspace(0, math.pi / 2, 50)
-    shifts = [potentials_from_angle(LatticeGeometry(865.95, 850.0, t), ATOM)[2]
+    shifts = [potentials_from_angle(LatticeGeometry(865.95, 850.0, t))[2]
               for t in thetas]
     assert np.all(np.diff(shifts) > 0)
+
+
+def test_thermal_populations_ladder():
+    ground = thermal_populations(0.0, 8)
+    assert ground.tolist() == [1.0] + [0.0] * 8
+    ratio = 1.33 / 2.33
+    p = thermal_populations(ratio, 15)
+    assert p.shape == (16,)
+    assert abs(p.sum() - 1.0) < 1e-12
+    assert p[1] / p[0] == pytest.approx(ratio, rel=1e-12)
 
 
 @pytest.mark.parametrize("dx_nm, eta_expected", [

@@ -8,15 +8,16 @@ from scipy.special import roots_laguerre
 
 from mwlattice.engineering import HarmonicModel
 from mwlattice.lattice import (KB, cesium, LatticeGeometry,
-                               potentials_from_angle, recoil_energy)
+                               potentials_from_angle, recoil_energy,
+                               trap_frequency)
 from mwlattice import spectroscopy
 from mwlattice.spectroscopy import (FIT_NAMES, STACK_BLOCK, PulseSpec,
                                     SpectroscopyConfig, SpinMotionState,
                                     _coupling_modes, _fit_problem,
                                     _rotation_tables, _strang,
                                     _stacked_transfers, _thermal_systems,
-                                    binomial_sigma, boltzmann_populations,
-                                    build_system, evolve_pulse, fit_spectrum,
+                                    binomial_sigma, build_system,
+                                    evolve_pulse, fit_spectrum,
                                     gaussian_pi_pulse, propagate_detunings,
                                     simulate_spectrum, system_from_potentials)
 
@@ -108,9 +109,12 @@ def test_zero_rabi_pulse_keeps_populations():
 def row_major_reference(system, pulse, amps, detunings, dt):
     """The Strang loop on row states with complex products psi @ q, as the
     propagator ran before its rotations became real GEMMs on columns."""
-    detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
-    base, up_proj, c = system.hamiltonian_parts()
-    diag = base[None, :] - np.multiply.outer(detunings, up_proj)
+    m = system.n_max + 1
+    up_proj = np.concatenate([np.ones(m), np.zeros(m)])
+    c = np.zeros((2 * m, 2 * m))
+    c[:m, m:] = system.fc_matrix.T
+    c[m:, :m] = system.fc_matrix
+    diag = system.diagonal(detunings).T
     psi = np.array(np.broadcast_to(
         amps, np.broadcast_shapes(amps.shape, diag.shape)), dtype=complex)
     diag = diag - diag.mean(axis=1, keepdims=True)
@@ -286,14 +290,19 @@ def test_node_depth_scales_match_beam_waist_formula(monkeypatch):
     assert scales.tolist() == [1.0] and weights.tolist() == [1.0]
 
 
-def test_boltzmann_populations_ratio():
-    omega = 2 * math.pi * 116.73e3
-    t = 10e-6
-    p = boltzmann_populations(10, omega, t)
+def test_thermal_entries_follow_axial_boltzmann_ratio():
+    # one node at full depth (t2d 0): the entry weights are the axial
+    # Boltzmann populations at the up-spin trap frequency
+    geom = LatticeGeometry(865.95, 850.0, 0.8770)
+    up, down, dx = potentials_from_angle(geom)
+    cfg = SpectroscopyConfig(n_max=10, k_points=16, axial_temperature=10e-6)
+    entries = _thermal_systems(up.contrast, down.contrast, down.total_depth,
+                               dx, 0.0, ATOM, 865.95, cfg)
+    assert [n0 for _, n0, _ in entries] == list(range(len(entries)))
+    omega = trap_frequency(850.0, ATOM, 865.95)
     from scipy.constants import hbar, k
-    assert p[1] / p[0] == pytest.approx(math.exp(-hbar * omega / (k * t)),
-                                        rel=1e-9)
-    assert p.sum() == pytest.approx(1.0, rel=1e-12)
+    assert entries[1][2] / entries[0][2] == pytest.approx(
+        math.exp(-hbar * omega / (k * 10e-6)), rel=1e-9)
 
 
 def test_binomial_sigma_never_zero():
@@ -332,7 +341,7 @@ def test_fit_model_honours_axial_temperature():
                           for n2 in range(3)])
     observed = simulate_spectrum(geom, ATOM, pulse, detunings, t2d=10e-6,
                                  cfg=cfg).transfer
-    up, down, dx = potentials_from_angle(geom, ATOM)
+    up, down, dx = potentials_from_angle(geom)
     truth = {"dx": dx, "w_down": down.contrast,
              "du_tot": -up.contrast - down.total_depth, "t2d": 10e-6}
     fit = fit_spectrum(detunings, observed, np.ones_like(observed), truth,
@@ -345,7 +354,7 @@ def test_fit_model_honours_axial_temperature():
 def thermal_states(n_nodes=3, axial_temperature=0.0, n_max=6):
     """Populated thermal states of the 0.877 rad lattice at 10 uK."""
     geom = LatticeGeometry(865.95, 850.0, 0.8770)
-    up, down, dx = potentials_from_angle(geom, ATOM)
+    up, down, dx = potentials_from_angle(geom)
     cfg = SpectroscopyConfig(n_max=n_max, k_points=16,
                              thermal_samples=n_nodes,
                              axial_temperature=axial_temperature)
@@ -387,10 +396,9 @@ def test_stacked_chirp_matches_separate_calls():
                       sweep=2 * math.pi * 40e3)
     dim = systems[0].dim
     fc = np.array([s.fc_matrix for s in systems])
-    diag = np.stack([s.hamiltonian_parts()[0] - pulse.detuning
-                     * s.hamiltonian_parts()[1] for s in systems])
+    diag = np.stack([s.diagonal(pulse.detuning) for s in systems])
     psi = np.tile(np.eye(dim, dtype=complex), (3, 1, 1))
-    _strang(fc, diag[:, :, None], psi, pulse, 3e-7)
+    _strang(fc, diag, psi, pulse, 3e-7)
     for system, u in zip(systems, psi):
         one = propagate_detunings(system, pulse,
                                   SpinMotionState(np.eye(dim, dtype=complex)),
@@ -443,7 +451,7 @@ def small_fit_problem(t2d_guess):
                           for n in range(4) for off in (-4.0, 0.0, 5.0)])
     observed = simulate_spectrum(FIT_GEOM, ATOM, pulse, detunings,
                                  t2d=10e-6, cfg=cfg).transfer
-    up, down, dx = potentials_from_angle(FIT_GEOM, ATOM)
+    up, down, dx = potentials_from_angle(FIT_GEOM)
     truth = {"dx": dx, "w_down": down.contrast,
              "du_tot": -up.contrast - down.total_depth, "t2d": 10e-6}
     sigma = np.full(detunings.size, 0.01)
