@@ -61,49 +61,3 @@ from .engineering import (
     run_sequence,
     superposition_sequence,
 )
-
-__all__ = [
-    "AtomConstants",
-    "LatticeGeometry",
-    "SpinPotential",
-    "LambDicke",
-    "cesium",
-    "magic_wavelength",
-    "potentials_from_angle",
-    "lamb_dicke",
-    "BlochSpectrum",
-    "WannierState",
-    "solve_bands",
-    "wannier",
-    "FranckCondonTable",
-    "fcf_exact",
-    "fcf_harmonic",
-    "fcf_harmonic_matrix",
-    "PulseSpec",
-    "SidebandSystem",
-    "SpectroscopyConfig",
-    "SpectrumResult",
-    "build_system",
-    "evolve_pulse",
-    "fit_spectrum",
-    "gaussian_pi_pulse",
-    "simulate_spectrum",
-    "CoolingParams",
-    "DensityMatrix",
-    "SteadyStateResult",
-    "build_liouvillian",
-    "cooling_map",
-    "energy_balance",
-    "evolve",
-    "steady_state",
-    "temperature_from_sidebands",
-    "HarmonicModel",
-    "PopulationDistribution",
-    "SequenceState",
-    "filter_survival",
-    "prepare_coherent",
-    "prepare_fock",
-    "reconstruct_distribution",
-    "run_sequence",
-    "superposition_sequence",
-]

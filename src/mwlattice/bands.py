@@ -82,26 +82,54 @@ class WannierState:
 
         Normalized so that the integral of |w|^2 dx over the line is 1.
         Evaluated in factored form, e^{i kappa x} = e^{i k x} e^{2i q x}:
-        w(x) = sum_k e^{i k x} [sum_q a_{k,q} e^{2i q x}], which costs
-        N_x (N_k + N_q) exponentials instead of N_x N_k N_q.
+        w(x) = sum_k e^{i k x} [sum_q a_{k,q} e^{2i q x}].  Both phase
+        tables are powers of one exponential per point: e^{2iqx} = z^q with
+        z = e^{2ix}, and e^{i k_j x} = v^{2j + 1 - N_k} with v = e^{ix/N_k}
+        on the uniform k grid.  Only the non-negative powers are built, by
+        repeated doubling; the negative ones are their conjugates (|z| =
+        |v| = 1).  That is two exponentials per point instead of N_k + N_q.
         """
         x = np.asarray(x, dtype=float)
         spec = self.spectrum
         coef = spec.coefficients[:, self.band, :]            # (N_k, N_q)
-        two_q = 2.0 * spec.q_values
-        norm = spec.k_grid.size * math.sqrt(math.pi)
+        n_k, q_max = spec.k_grid.size, spec.q_cutoff
+        half = n_k // 2
+        pos = coef[:, q_max:].T                              # q = 0, 1, ...
+        neg = np.conj(coef[:, :q_max][:, ::-1]).T            # q = -1, -2, ...
+        norm = n_k * math.sqrt(math.pi)
         # w(x) = (N_k sqrt(d))^{-1} sum_{k,q} a e^{i kappa (x - r d)}; the
         # e^{-i k r d} site phase is absorbed since e^{i 2 q r pi} = 1.
         xr = x.ravel() - self.site * math.pi
         w = np.empty(xr.shape, dtype=complex)
-        chunk = max(1, 2_000_000 // (spec.k_grid.size + two_q.size))
+        chunk = max(1, 2_000_000 // (n_k + 2 * q_max + 1))
         for i in range(0, xr.size, chunk):
             block = xr[i:i + chunk]
-            inner = np.exp(1j * np.multiply.outer(block, two_q)) @ coef.T
-            outer = np.exp(1j * np.multiply.outer(block, spec.k_grid))
-            w[i:i + chunk] = np.einsum("xk,xk->x", outer, inner)
+            zq = _powers(np.exp(2j * block), q_max + 1)      # q = 0..q_max
+            inner = zq @ pos + np.conj(zq[:, 1:] @ neg)      # (x, N_k)
+            # e^{i k_j x} = v^{2j + 1 - N_k}: from j = N_k // 2 on, the
+            # exponents are 1, 3, 5, ... (even N_k) or 0, 2, 4, ... (odd
+            # N_k); below it they are their negatives in mirror order.
+            v = np.exp(1j * block / n_k)
+            vk = _powers(v * v, n_k - half)
+            if n_k % 2 == 0:
+                vk *= v[:, None]
+            w[i:i + chunk] = (np.einsum("xk,xk->x", vk, inner[:, half:])
+                              + np.einsum("xk,xk->x", np.conj(vk[:, n_k % 2:]),
+                                          inner[:, :half][:, ::-1]))
         w = w.reshape(x.shape) / norm
         return np.real_if_close(w, tol=1e6)
+
+
+def _powers(z: np.ndarray, n: int) -> np.ndarray:
+    """p[:, j] = z**j for j < n, by repeated doubling (log2 n products)."""
+    p = np.empty((z.size, n), dtype=complex)
+    p[:, 0] = 1.0
+    zm, m = z[:, None], 1                    # zm = z**m
+    while m < n:
+        c = min(m, n - m)
+        np.multiply(p[:, :c], zm, out=p[:, m:m + c])
+        zm, m = zm * zm, 2 * m
+    return p
 
 
 def _solve_single_k(k: float, depth: float, n_bands: int, q_cutoff: int):
@@ -148,6 +176,10 @@ def solve_bands(depth: float, n_bands: int = 16, k_points: int = 64,
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if k_points < 1:
+        raise ValueError(f"k_points must be >= 1, got {k_points}")
+    if n_bands < 1:
+        raise ValueError(f"n_bands must be >= 1, got {n_bands}")
     if q_cutoff is None:
         q_cutoff = default_q_cutoff(depth)
     if n_bands > 2 * q_cutoff + 1:
@@ -184,8 +216,8 @@ def solve_bands(depth: float, n_bands: int = 16, k_points: int = 64,
 
 
 def wannier(spectrum: BlochSpectrum, band: int, site: int = 0) -> WannierState:
-    if band >= spectrum.n_bands:
-        raise ValueError("band index out of range")
+    if not 0 <= band < spectrum.n_bands:
+        raise ValueError(f"band {band} out of range 0..{spectrum.n_bands - 1}")
     return WannierState(spectrum=spectrum, band=band, site=site)
 
 

@@ -97,6 +97,14 @@ def test_invalid_arguments():
         solve_bands(-1.0)
     with pytest.raises(ValueError):
         solve_bands(10.0, n_bands=100, q_cutoff=4)
+    with pytest.raises(ValueError, match="k_points must be >= 1, got 0"):
+        solve_bands(850.0, k_points=0)
+    with pytest.raises(ValueError, match="n_bands must be >= 1, got 0"):
+        solve_bands(850.0, n_bands=0)
+    spec = cached_bands(850.0, n_bands=4, k_points=16)
+    for band in (-1, 4):
+        with pytest.raises(ValueError, match=f"band {band} out of range"):
+            wannier(spec, band)
 
 
 def loop_phase_fixed(vecs):
@@ -202,3 +210,19 @@ def test_wannier_factored_matches_direct_sum(depth):
             scalar = w(0.37)
             assert np.ndim(scalar) == 0
             assert abs(scalar - direct_sum_wannier(w, 0.37)[0]) < 1e-13
+
+
+@pytest.mark.parametrize("site", [0, 1])
+def test_wannier_deep_lattice_on_projection_grid(site):
+    """The deep lattice of the projection-heating checks, 8000 E_R, where
+    the powers of e^{2ix} run up to q_cutoff = 187; on projection
+    heating's 4001-point grid over +-6 d."""
+    spec = cached_bands(8000.0, n_bands=2, k_points=16)
+    assert spec.q_cutoff == 187
+    x = np.linspace(-6 * math.pi, 6 * math.pi, 4001)
+    for n in range(2):
+        w = wannier(spec, n, site=site)
+        ref = np.concatenate([direct_sum_wannier(w, part)     # bounded memory
+                              for part in np.array_split(x, 8)])
+        assert np.abs(w(x) - ref).max() < 1e-13
+    assert w(np.empty(0)).shape == (0,)

@@ -187,9 +187,11 @@ def test_engineer_bad_task_exit_code(tmp_path):
     ("fcf", {"solver": {"n_max": 2, "k_points": 8}},
      "fcf.bands = 6 and the harmonic oracle's 4 levels need "
      "solver.n_max >= 5, got 2"),
+    ("bands", {"solver": {"k_points": 0}}, "k_points must be >= 1, got 0"),
 ], ids=["fock_m_above_n_max", "fock_m_negative", "superposition_n_max_1",
         "engineer_n_max_negative", "cool_n_max_negative",
-        "fcf_n_max_below_oracle", "fcf_n_max_below_bands"])
+        "fcf_n_max_below_oracle", "fcf_n_max_below_bands",
+        "bands_k_points_zero"])
 def test_out_of_range_input_exits_3(tmp_path, capsys, command, block, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(block))
