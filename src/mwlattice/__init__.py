@@ -10,54 +10,3 @@ Internal unit conventions (SI only at the CLI boundary):
   length    lattice spacing d = lambda_L / 2  (positions often in 1/k_L)
   frequency angular, rad/s, unless a name says otherwise
 """
-
-from .lattice import (
-    AtomConstants,
-    LatticeGeometry,
-    SpinPotential,
-    LambDicke,
-    cesium,
-    magic_wavelength,
-    potentials_from_angle,
-    lamb_dicke,
-)
-from .bands import BlochSpectrum, WannierState, solve_bands, wannier
-from .franck_condon import (
-    FranckCondonTable,
-    fcf_exact,
-    fcf_harmonic,
-    fcf_harmonic_matrix,
-)
-from .spectroscopy import (
-    PulseSpec,
-    SidebandSystem,
-    SpectroscopyConfig,
-    SpectrumResult,
-    build_system,
-    evolve_pulse,
-    fit_spectrum,
-    gaussian_pi_pulse,
-    simulate_spectrum,
-)
-from .cooling import (
-    CoolingParams,
-    DensityMatrix,
-    SteadyStateResult,
-    build_liouvillian,
-    cooling_map,
-    energy_balance,
-    evolve,
-    steady_state,
-    temperature_from_sidebands,
-)
-from .engineering import (
-    HarmonicModel,
-    PopulationDistribution,
-    SequenceState,
-    filter_survival,
-    prepare_coherent,
-    prepare_fock,
-    reconstruct_distribution,
-    run_sequence,
-    superposition_sequence,
-)

@@ -52,7 +52,7 @@ DEFAULTS: dict = {
         "time_step_s": None,
     },
     "fit": {
-        "input_csv": None,        # CSV with detuning_khz, probability columns
+        "input_csv": "",          # CSV with detuning_khz, probability columns
         "pulse_fwhm_us": 100.0,
         "atoms_per_point": 100,
         "guess": {
@@ -117,8 +117,9 @@ def _validate(user, default, path):
         return merged
     loc = path.rstrip(".")
     if default is None:
-        if user is not None and not isinstance(user, (_NUMERIC + (str,))):
-            raise ConfigError(f"'{loc}' must be a scalar or null")
+        if user is not None and (isinstance(user, bool)
+                                 or not isinstance(user, _NUMERIC)):
+            raise ConfigError(f"'{loc}' must be a number or null")
         return user
     if isinstance(default, _NUMERIC):
         if isinstance(user, bool) or not isinstance(user, _NUMERIC):

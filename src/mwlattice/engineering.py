@@ -1,15 +1,15 @@
 """Motional-state engineering sequences and population measurement.
 
-Builds on the sideband machinery: microwave pulses (including adiabatic
-passage) between the two spin manifolds, instantaneous lattice shifts,
-projective repumping, and the filter/push-out scheme that measures the
-vibrational population distribution through cumulative survival plateaus.
+A sequence is a list of microwave pulses (including adiabatic passage)
+between the two spin manifolds, each applied at its own lattice shift.
+Coherent-state preparation by repumping and the filter/push-out scheme
+that measures the vibrational population distribution through cumulative
+survival plateaus are closed forms.
 
-The default motional model is the harmonic ladder with displaced-oscillator
-couplings D[n', n](eta_x); sequences track the current shift so every pulse
-uses the coupling table of the shift at which it is applied.  A pulse is
-propagated by ``spectroscopy.propagate_detunings`` on the harmonic
-``SidebandSystem`` of that shift, the same propagator the spectra use.
+The motional model is the harmonic ladder with displaced-oscillator
+couplings D[n', n](eta_x).  A pulse is propagated by
+``spectroscopy.propagate_detunings`` on the harmonic ``SidebandSystem`` of
+its shift, the same propagator the spectra use.
 """
 
 from __future__ import annotations
@@ -40,70 +40,30 @@ SUPERPOSITION_RABI = 2 * math.pi * 10e3
 NOISE_TOLERANCE = 0.05
 
 # ---------------------------------------------------------------------------
-# sequence steps
+# sequences
 
 
 @dataclass(frozen=True)
 class MicrowavePulse:
-    """Microwave pulse step, resonant with the transition ``target`` =
-    (n_up, n_down)."""
+    """Microwave pulse applied at the relative shift ``eta_x``, resonant
+    with the transition ``target`` = (n_up, n_down)."""
 
     pulse: PulseSpec
-    target: tuple[int, int] = (0, 0)
-
-
-@dataclass(frozen=True)
-class LatticeShift:
-    """Set the relative shift to ``eta_x`` (instantaneous, i.e. timed so
-    vibrational populations are preserved exactly)."""
-
+    target: tuple[int, int]
     eta_x: float
-
-
-@dataclass(frozen=True)
-class RepumpPulse:
-    """Optical pumping of the down manifold into up at the current shift,
-    conditioned on the atom ending in up (recoil neglected)."""
-
-
-@dataclass(frozen=True)
-class PushOut:
-    """State-selective removal of all of one spin's population; survival
-    is tracked as the remaining trace."""
-
-    spin: str = "up"
-
-    def __post_init__(self):
-        _spin_block(self.spin, 0)        # "up" or "down", else ValueError
-
-
-@dataclass(frozen=True)
-class Wait:
-    duration: float  # s
-
-
-SequenceStep = MicrowavePulse | LatticeShift | RepumpPulse | PushOut | Wait
-
-
-# ---------------------------------------------------------------------------
-# engine
 
 
 @dataclass
 class SequenceState:
-    """Density matrix over {|up,n>, |down,n>}, current shift, and the
-    accumulated survival probability (trace lost to push-out steps)."""
+    """Density matrix over {|up,n>, |down,n>}, n = 0..n_max."""
 
     rho: np.ndarray
-    eta_x: float
     n_max: int
-    survival: float = 1.0
 
     @classmethod
-    def pure(cls, n_max: int, spin: str, n: int,
-             eta_x: float = 0.0) -> "SequenceState":
+    def pure(cls, n_max: int, spin: str, n: int) -> "SequenceState":
         amp = SpinMotionState.basis(n_max, spin, n).amplitudes
-        return cls(np.outer(amp, amp.conj()), eta_x, n_max)
+        return cls(np.outer(amp, amp.conj()), n_max)
 
     def populations(self, spin: str) -> np.ndarray:
         return np.real(np.diag(self.rho))[_spin_block(spin, self.n_max)]
@@ -152,50 +112,29 @@ def pulse_unitary(model: HarmonicModel, pulse: PulseSpec,
                                dt=model.dt).T
 
 
-def run_sequence(initial: SequenceState, steps: list[SequenceStep],
+def run_sequence(initial: SequenceState, pulses: list[MicrowavePulse],
                  model: HarmonicModel) -> SequenceState:
-    """Apply the steps in order; returns the final state.
+    """Apply the pulses in order, rho -> U rho U^dagger; returns the final
+    state.
 
-    A pulse is set resonant with its target (n_up, n_down), detuning
-    (n_up - n_down) omega_vib, and ``pulse_unitary`` builds its coupling
-    table.  Push-out steps leave the density matrix unnormalized (its trace
-    is the survival probability, also accumulated in ``state.survival``).
+    Each pulse is set resonant with its target (n_up, n_down), detuning
+    (n_up - n_down) omega_vib, and ``pulse_unitary`` propagates it on the
+    coupling table of its own shift.  The lattice moves between pulses
+    are instantaneous, so they leave the vibrational populations as they
+    are.
     """
-    state = replace(initial, rho=initial.rho.copy())
-    m = model.n_max + 1
-    for step in steps:
-        if isinstance(step, LatticeShift):
-            state.eta_x = step.eta_x
-        elif isinstance(step, Wait):
-            continue   # rotating-frame phases are irrelevant to populations
-        elif isinstance(step, MicrowavePulse):
-            n_up, n_down = step.target
-            if not (0 <= n_up <= model.n_max and 0 <= n_down <= model.n_max):
-                raise ValueError(f"pulse target {step.target} outside the "
-                                 f"levels 0..{model.n_max}")
-            # float for float energy[n_up] - energy[n_down] of model.system
-            detuning = n_up * model.omega_vib - n_down * model.omega_vib
-            pulse = replace(step.pulse, detuning=detuning)
-            u = pulse_unitary(model, pulse, state.eta_x)
-            state.rho = u @ state.rho @ u.conj().T
-        elif isinstance(step, RepumpPulse):
-            k = model.coupling(state.eta_x)
-            # |up,n> <down,n'| weighted by the displaced overlap
-            a = np.zeros((2 * m, 2 * m))
-            a[:m, m:] = k.T
-            rho = a @ state.rho @ a.T
-            tr = float(np.real(np.trace(rho)))
-            if tr <= 0:
-                raise RuntimeError("repump applied to empty down manifold")
-            state.rho = rho / tr
-        elif isinstance(step, PushOut):
-            keep = np.ones(2 * m)
-            keep[_spin_block(step.spin, model.n_max)] = 0.0
-            state.rho = keep[:, None] * state.rho * keep[None, :]
-            state.survival = float(np.real(np.trace(state.rho)))
-        else:
-            raise TypeError(f"unknown step {step!r}")
-    return state
+    rho = initial.rho.copy()
+    for step in pulses:
+        n_up, n_down = step.target
+        if not (0 <= n_up <= model.n_max and 0 <= n_down <= model.n_max):
+            raise ValueError(f"pulse target {step.target} outside the "
+                             f"levels 0..{model.n_max}")
+        # float for float energy[n_up] - energy[n_down] of model.system
+        detuning = n_up * model.omega_vib - n_down * model.omega_vib
+        u = pulse_unitary(model, replace(step.pulse, detuning=detuning),
+                          step.eta_x)
+        rho = u @ rho @ u.conj().T
+    return SequenceState(rho, initial.n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +173,10 @@ def prepare_fock(model: HarmonicModel, m: int) -> tuple[SequenceState, float]:
     is never zero.  Returns (final state, fidelity)."""
     if m < 0:
         raise ValueError(f"Fock level m must be >= 0, got {m}")
-    eta = coupling_maximizing_shift(model, 0, m)
-    steps = [LatticeShift(eta), MicrowavePulse(FOCK_CHIRP, target=(0, m))]
-    state = run_sequence(SequenceState.pure(model.n_max, "up", 0), steps, model)
+    pulse = MicrowavePulse(FOCK_CHIRP, (0, m),
+                           coupling_maximizing_shift(model, 0, m))
+    state = run_sequence(SequenceState.pure(model.n_max, "up", 0), [pulse],
+                         model)
     return state, state.fidelity("down", m)
 
 
@@ -264,13 +204,10 @@ def superposition_sequence(model: HarmonicModel,
     pulse2 = PulseSpec("rectangular", peak_rabi=SUPERPOSITION_RABI,
                        duration=t2)
 
-    steps = [
-        LatticeShift(eta1),
-        MicrowavePulse(pulse1, target=(0, 2)),
-        LatticeShift(eta2),
-        MicrowavePulse(pulse2, target=(0, 0)),
-    ]
-    return run_sequence(SequenceState.pure(model.n_max, "up", 0), steps, model)
+    pulses = [MicrowavePulse(pulse1, (0, 2), eta1),
+              MicrowavePulse(pulse2, (0, 0), eta2)]
+    return run_sequence(SequenceState.pure(model.n_max, "up", 0), pulses,
+                        model)
 
 
 def prepare_coherent(model: HarmonicModel, eta_x: float,

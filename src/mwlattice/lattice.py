@@ -88,18 +88,6 @@ class SpinPotential:
     total_depth: float    # U_s^tot, E_R (<= 0)
 
 
-@dataclass(frozen=True)
-class LambDicke:
-    """Spatial and momentum Lamb-Dicke parameters; eta = eta_k + i eta_x."""
-
-    eta_x: float
-    eta_k: float
-
-    @property
-    def eta(self) -> complex:
-        return complex(self.eta_k, self.eta_x)
-
-
 def recoil_energy(atom: AtomConstants, wavelength_nm: float) -> float:
     """Photon recoil energy hbar^2 k^2 / 2m in joules."""
     k = 2 * math.pi / (wavelength_nm * 1e-9)
@@ -169,8 +157,9 @@ def thermal_populations(ratio: float, n_max: int) -> np.ndarray:
 
 
 def lamb_dicke(dx_nm: float, omega_vib: float, atom: AtomConstants,
-               k_opt: float) -> LambDicke:
-    """Lamb-Dicke parameters for a shift ``dx_nm`` and photon wavevector ``k_opt``.
+               k_opt: float) -> complex:
+    """Generalized Lamb-Dicke parameter eta = eta_k + i eta_x for a shift
+    ``dx_nm`` and photon wavevector ``k_opt``.
 
     eta_x = dx / (2 x_0) and eta_k = hbar k_opt / (2 p_0) = k_opt x_0 with
     x_0, p_0 the position/momentum rms widths of the motional ground state.
@@ -180,4 +169,4 @@ def lamb_dicke(dx_nm: float, omega_vib: float, atom: AtomConstants,
     x0 = ground_state_width(atom, omega_vib)
     eta_x = dx_nm * 1e-9 / (2 * x0)
     eta_k = k_opt * x0
-    return LambDicke(eta_x=eta_x, eta_k=eta_k)
+    return complex(eta_k, eta_x)

@@ -80,6 +80,8 @@ class PulseSpec:
 
 def gaussian_pi_pulse(fwhm: float, detuning: float = 0.0) -> PulseSpec:
     """Gaussian pulse with unit-coupling area pi (carrier pi-pulse)."""
+    if not fwhm > 0:
+        raise ValueError(f"gaussian pulse needs fwhm > 0, got {fwhm}")
     peak = math.pi / (fwhm * math.sqrt(math.pi / FOUR_LN2))
     return PulseSpec("gaussian", peak_rabi=peak, detuning=detuning, fwhm=fwhm)
 
@@ -112,10 +114,6 @@ class SpinMotionState:
 
     def populations(self, spin: str) -> np.ndarray:
         return np.abs(self.amplitudes[_spin_block(spin, self.n_max)]) ** 2
-
-    def transfer_probability(self) -> float:
-        """Total population in the down spin."""
-        return float(self.populations("down").sum())
 
 
 @dataclass(frozen=True)
@@ -257,7 +255,8 @@ def _strang(fc: np.ndarray, diag: np.ndarray, psi: np.ndarray,
     overwritten with its spread about the column mean, and ``psi`` the
     C-contiguous complex (S, dim, N) states.  ``dt`` None takes the
     automatic step of the system with the widest spectrum, so no system
-    gets a coarser step than it would alone.  The stack runs in blocks of
+    gets a coarser step than it would alone; any other ``dt`` that is not
+    finite and > 0 raises ``ValueError``.  The stack runs in blocks of
     at most ``STACK_BLOCK`` amplitudes, each through the whole pulse.  A
     state whose norm moves by more than ``NORM_DRIFT_BOUND`` (relative)
     raises ``RuntimeError``.
@@ -268,6 +267,8 @@ def _strang(fc: np.ndarray, diag: np.ndarray, psi: np.ndarray,
     if dt is None:
         scale = float(np.max(np.abs(diag))) + pulse.peak_rabi + abs(pulse.sweep)
         dt = min(0.05 / max(scale, 1.0), pulse.support / 400.0)
+    elif not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"time step must be finite and > 0, got {dt}")
     n_steps = max(1, int(math.ceil(pulse.support / dt)))
     dt = pulse.support / n_steps
     u, sigma, vh = np.linalg.svd(fc)

@@ -79,7 +79,7 @@ def test_criterion_02_lamb_dicke_table():
     omega = trap_frequency(DEPTH_UP, ATOM, WAVELENGTH)
     k_opt = 2 * math.pi / (ATOM.d2_wavelength * 1e-9)
     table = {43.0: 1.2, 111.0: 3.1, 176.0: 4.9}
-    devs = {dx: lamb_dicke(dx, omega, ATOM, k_opt).eta_x - eta
+    devs = {dx: lamb_dicke(dx, omega, ATOM, k_opt).imag - eta
             for dx, eta in table.items()}
     ok = all(abs(d) < 0.1 for d in devs.values())
     verdict(2, "Lamb-Dicke table", ok,

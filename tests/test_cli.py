@@ -172,6 +172,20 @@ def test_engineer_bad_task_exit_code(tmp_path):
                     "--out", str(tmp_path)]) == 2
 
 
+# A one-angle, one-node spectrum and fit at a small solver size.
+TINY_SPECTRUM = {
+    "solver": {"n_max": 5, "k_points": 8},
+    "spectrum": {"polarization_angles": [0.3538], "pulse_fwhm_us": 30.0,
+                 "detuning_min_khz": -400.0, "detuning_max_khz": 0.0,
+                 "n_detunings": 40, "thermal_samples": 1,
+                 "time_step_s": 1e-6}}
+TINY_FIT = {"n_max": 5, "k_points": 8, "thermal_samples": 1,
+            "time_step_s": 1e-6, "pulse_fwhm_us": 30.0,
+            "atoms_per_point": 200,
+            "guess": {"dx": 0.10, "w_down": 825.0, "du_tot": -11.0,
+                      "t2d": 1e-5}}
+
+
 @pytest.mark.parametrize("command, block, value", [
     ("engineer", {"engineer": {"task": "fock", "fock_m": 20, "n_max": 4}},
      "(0, 20)"),
@@ -188,11 +202,31 @@ def test_engineer_bad_task_exit_code(tmp_path):
      "fcf.bands = 6 and the harmonic oracle's 4 levels need "
      "solver.n_max >= 5, got 2"),
     ("bands", {"solver": {"k_points": 0}}, "k_points must be >= 1, got 0"),
+    ("spectrum", dict(TINY_SPECTRUM, spectrum=dict(
+        TINY_SPECTRUM["spectrum"], time_step_s=-1e-6)),
+     "time step must be finite and > 0, got -1e-06"),
+    ("spectrum", dict(TINY_SPECTRUM, spectrum=dict(
+        TINY_SPECTRUM["spectrum"], time_step_s=0)),
+     "time step must be finite and > 0, got 0"),
+    ("spectrum", {"spectrum": {"pulse_fwhm_us": 0.0}},
+     "gaussian pulse needs fwhm > 0, got 0.0"),
+    ("fit", {"fit": dict(TINY_FIT, time_step_s=-1e-6)},
+     "time step must be finite and > 0, got -1e-06"),
+    ("fit", {"fit": dict(TINY_FIT, time_step_s=0.0)},
+     "time step must be finite and > 0, got 0.0"),
+    ("fit", {"fit": dict(TINY_FIT, pulse_fwhm_us=0.0)},
+     "gaussian pulse needs fwhm > 0, got 0.0"),
 ], ids=["fock_m_above_n_max", "fock_m_negative", "superposition_n_max_1",
         "engineer_n_max_negative", "cool_n_max_negative",
         "fcf_n_max_below_oracle", "fcf_n_max_below_bands",
-        "bands_k_points_zero"])
+        "bands_k_points_zero", "spectrum_time_step_negative",
+        "spectrum_time_step_zero", "spectrum_fwhm_zero",
+        "fit_time_step_negative", "fit_time_step_zero", "fit_fwhm_zero"])
 def test_out_of_range_input_exits_3(tmp_path, capsys, command, block, value):
+    if command == "fit":
+        data = tmp_path / "data.csv"
+        data.write_text("detuning_khz,p\n-1,0.1\n0,0.5\n1,0.2\n")
+        block = {"fit": dict(block["fit"], input_csv=str(data))}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(block))
     assert run_cli([command, "--config", str(cfg),
@@ -210,6 +244,40 @@ def test_filter_command_reports_f_prime(tmp_path):
 
 def test_fit_requires_input(tmp_path):
     assert run_cli(["fit", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("block, key", [
+    ({"spectrum": {"time_step_s": "x"}}, "spectrum.time_step_s"),
+    ({"spectrum": {"time_step_s": True}}, "spectrum.time_step_s"),
+    ({"solver": {"q_cutoff": "abc"}}, "solver.q_cutoff"),
+    ({"bands": {"depth": "deep"}}, "bands.depth"),
+    ({"fit": {"input_csv": 1}}, "fit.input_csv"),
+])
+def test_null_default_keys_take_numbers_only(tmp_path, capsys, block, key):
+    # a key that defaults to null takes a number or null, never a string
+    # or a bool; fit.input_csv is a string key
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(block))
+    assert run_cli(["bands", "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 2
+    assert f"'{key}' must be a" in capsys.readouterr().err
+    assert resolve({"spectrum": {"time_step_s": 3e-7}})[
+        "spectrum"]["time_step_s"] == 3e-7
+
+
+def test_fit_of_an_empty_spectrum_exits_3(tmp_path, capsys):
+    # an all-zero spectrum determines none of the parameters: the fit
+    # converges, with stderrs 1e8 times the values and more
+    detunings = np.linspace(-400.0, 0.0, 40)
+    data = tmp_path / "zeros.csv"
+    data.write_text("detuning_khz,p\n" + "".join(
+        f"{d:.12g},0\n" for d in detunings))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fit": dict(TINY_FIT, input_csv=str(data))}))
+    assert run_cli(["fit", "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 3
+    assert "fit does not determine" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
 
 
 def test_fit_reports_diagnostics(tmp_path):

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq, minimize_scalar
 
-from mwlattice.engineering import (HarmonicModel, LatticeShift, MicrowavePulse,
-                                   PopulationDistribution, PushOut,
-                                   RepumpPulse, SequenceState, Wait,
+from mwlattice.engineering import (HarmonicModel, MicrowavePulse,
+                                   PopulationDistribution, SequenceState,
                                    coupling_maximizing_shift,
                                    effective_efficiency, filter_survival,
                                    prepare_coherent, prepare_fock,
@@ -27,14 +25,6 @@ def test_empty_sequence_is_identity():
     initial = SequenceState.pure(10, "up", 0)
     final = run_sequence(initial, [], MODEL)
     assert np.abs(final.rho - initial.rho).max() < 1e-15
-
-
-def test_lattice_shift_preserves_populations():
-    initial = SequenceState.pure(10, "up", 3)
-    final = run_sequence(initial, [LatticeShift(0.7), Wait(1e-3),
-                                   LatticeShift(0.2)], MODEL)
-    assert np.abs(final.rho - initial.rho).max() < 1e-15
-    assert final.eta_x == 0.2
 
 
 def test_pulse_unitary_is_unitary():
@@ -70,26 +60,12 @@ def test_pulse_unitary_is_unitary():
 def test_carrier_pi_pulse_at_zero_shift():
     pulse = gaussian_pi_pulse(30e-6)
     initial = SequenceState.pure(10, "up", 0)
-    final = run_sequence(initial, [MicrowavePulse(pulse, target=(0, 0))],
-                         MODEL)
+    final = run_sequence(initial, [MicrowavePulse(pulse, (0, 0), 0.0)], MODEL)
     assert final.fidelity("down", 0) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_push_out_tracks_survival():
-    initial = SequenceState.pure(10, "up", 0)
-    pulse = gaussian_pi_pulse(30e-6)
-    seq = [MicrowavePulse(pulse, target=(0, 0)), PushOut(spin="down")]
-    final = run_sequence(initial, seq, MODEL)
-    assert final.survival == pytest.approx(0.0, abs=1e-6)
-    seq = [PushOut(spin="down")]
-    final = run_sequence(initial, seq, MODEL)
-    assert final.survival == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spin_names_are_checked():
     # a misspelt spin must not silently act on the down ladder
-    with pytest.raises(ValueError, match="'UP'"):
-        PushOut(spin="UP")
     with pytest.raises(ValueError, match="'Down'"):
         SequenceState.pure(10, "Down", 0)
     state = SequenceState.pure(10, "down", 0)
@@ -97,15 +73,6 @@ def test_spin_names_are_checked():
         state.populations("dn")
     with pytest.raises(ValueError, match="'dn'"):
         state.fidelity("dn", 0)
-
-
-def test_repump_projects_poissonian():
-    initial = SequenceState.pure(10, "down", 0, eta_x=1.0)
-    final = run_sequence(initial, [RepumpPulse()], MODEL)
-    pops = final.populations("up")
-    n = np.arange(11)
-    poisson = np.exp(-1.0) / np.array([math.factorial(int(i)) for i in n])
-    assert np.abs(pops - poisson).max() < 1e-3
 
 
 def test_coupling_extrema_locations():
