@@ -3,9 +3,10 @@
 Subcommands: bands, fcf, spectrum, fit, cool, coolmap, engineer, filter.
 Common flags: --config <json>, --out <dir>, --seed <u64>, --emit-config.
 Exit codes: 0 success, 2 config error (including a config key that is not
-in the schema), 3 solver error (including a NaN or infinite result, which
-is named and leaves no <command>.json, and a fit that leaves a parameter's
-stderr at ``FIT_STDERR_BOUND`` times its magnitude or above).  Outputs are
+in the schema and a fit input value that is not a finite number), 3 solver
+error (including a NaN or infinite result, which is named and leaves no
+<command>.json, and a fit that leaves a parameter's stderr at
+``FIT_STDERR_BOUND`` times its magnitude or above).  Outputs are
 deterministic for a fixed config and seed (fixed float formatting, sorted
 JSON keys, no timestamps).
 """
@@ -27,7 +28,7 @@ from .franck_condon import displacement_element, fcf_exact
 from .lattice import (cesium, ground_state_width, LatticeGeometry,
                       potentials_from_angle, trap_frequency)
 from .spectroscopy import (SpectroscopyConfig, binomial_sigma, fit_spectrum,
-                           gaussian_pi_pulse, simulate_spectrum)
+                           gaussian_pi_pulse, simulate_spectra)
 
 
 class SolverFailure(RuntimeError):
@@ -159,12 +160,12 @@ def cmd_spectrum(cfg: dict, out: Path, rng) -> dict:
         sp["detuning_min_khz"], sp["detuning_max_khz"], int(sp["n_detunings"]))
     cols, headers, meta = [detunings / (2 * math.pi * 1e3)], ["detuning_khz"], {}
     atoms = int(sp["atoms_per_point"])
-    for angle in sp["polarization_angles"]:
-        geom = _geometry(cfg, angle=angle)
+    angles = sp["polarization_angles"]
+    geoms = [_geometry(cfg, angle=angle) for angle in angles]
+    results = simulate_spectra(geoms, atom, pulse, detunings,
+                               t2d=sp["temperature_2d_uk"] * 1e-6, cfg=scfg)
+    for angle, geom, result in zip(angles, geoms, results):
         up, down, dx = potentials_from_angle(geom)
-        result = simulate_spectrum(geom, atom, pulse, detunings,
-                                   t2d=sp["temperature_2d_uk"] * 1e-6,
-                                   cfg=scfg)
         transfer = result.transfer
         if atoms > 0:
             transfer = rng.binomial(atoms, np.clip(transfer, 0, 1)) / atoms
@@ -185,10 +186,17 @@ def cmd_fit(cfg: dict, out: Path, rng) -> dict:
     ft = cfg["fit"]
     if not ft["input_csv"]:
         raise ConfigError("'fit.input_csv' is required")
-    raw = np.genfromtxt(ft["input_csv"], delimiter=",", names=True)
+    raw = np.genfromtxt(ft["input_csv"], delimiter=",", names=True,
+                        deletechars="")
     names = raw.dtype.names
     if names is None or "detuning_khz" not in names or len(names) < 2:
         raise ConfigError("fit input CSV needs detuning_khz and one data column")
+    for name in ("detuning_khz", names[1]):
+        bad = np.flatnonzero(~np.isfinite(np.atleast_1d(raw[name])))
+        if bad.size:
+            raise ConfigError(
+                f"fit input CSV {ft['input_csv']}: column {name!r} has no "
+                f"finite number in data row {bad[0] + 1}")
     detunings = 2 * math.pi * 1e3 * np.asarray(raw["detuning_khz"], dtype=float)
     observed = np.asarray(raw[names[1]], dtype=float)
     atoms = int(ft["atoms_per_point"])

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+from collections.abc import Mapping, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,7 +204,43 @@ SCHEDULE_CHUNK = 64
 # state, its diagonal phases and the work buffer no longer stay in a
 # core's cache and a step costs more per system than it saves.  A system
 # counts at least dim columns, which bounds its rotation tables as well.
+# With more than one worker a stack is split further, into at least as
+# many blocks as workers, while each block keeps ``THREAD_BLOCK`` amplitudes.
 STACK_BLOCK = 1 << 15
+
+# Fewest amplitudes of a block split off for another worker.  Below it the
+# threads wait for the GIL between numpy calls more than they compute.  On
+# 2 cores with one BLAS thread, a 1334-step pulse on dim-28 systems of 120
+# columns took 0.033 s for two systems as one block and 0.044 s as two
+# blocks; eight systems took 0.120 s as one block and 0.069 s as two.
+THREAD_BLOCK = 6000
+
+
+def worker_count(cores: int, env: Mapping[str, str]) -> int:
+    """Threads that propagate the blocks of a stack at once.
+
+    ``cores`` over the BLAS threads, at least 1.  The BLAS thread count is
+    the first of OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS
+    in ``env`` that is a positive integer.  When none is, the count is 1:
+    an unpinned BLAS runs a thread per core, and more threads would
+    compete with it.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = env.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return max(1, cores // int(value))
+    return 1
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+# Read once: BLAS reads its thread count when numpy loads, before this.
+WORKERS = worker_count(_usable_cores(), os.environ)
 
 # Largest relative change of a state's norm over one propagation.  Every
 # step is unitary, so the norm moves by rounding only: by 6.6e-10 at most
@@ -233,53 +272,116 @@ def _coupling_modes(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _rotation_tables(modes: np.ndarray, sigma: np.ndarray,
-                     theta: np.ndarray) -> np.ndarray:
+                     theta: np.ndarray, out: np.ndarray | None = None
+                     ) -> np.ndarray:
     """R(theta_k) of each system at each angle, (S, K, dim, dim).
 
     One GEMM per system: [cos | sin](theta_k sigma_j), (K, 2m), times the
-    system's (2m, dim^2) ``modes``.
+    system's (2m, dim^2) ``modes``, into the first K rows of ``out``
+    (S, >= K, dim^2) when given.
     """
     arg = sigma[:, None, :] * theta[:, None]                   # (S, K, m)
     coef = np.concatenate((np.cos(arg), np.sin(arg)), axis=2)
     dim = 2 * sigma.shape[1]
-    return np.matmul(coef, modes).reshape(len(sigma), len(theta), dim, dim)
+    table = np.matmul(coef, modes,
+                      out=None if out is None else out[:, :len(theta)])
+    return table.reshape(len(sigma), len(theta), dim, dim)
+
+
+def _blocks(diag: np.ndarray, pulse: PulseSpec, dt: float | None,
+            groups: Sequence[int] | None, n_col: int
+            ) -> list[tuple[slice, float, int]]:
+    """(systems, step, step count) of each block of ``_strang``'s stack."""
+    n_sys, dim = diag.shape[:2]
+    if dt is None:
+        ends = np.cumsum(groups if groups is not None else [n_sys])
+        runs = []
+        for start, stop in zip(np.concatenate(([0], ends[:-1])), ends):
+            scale = (float(np.max(np.abs(diag[start:stop]))) + pulse.peak_rabi
+                     + abs(pulse.sweep))
+            step = min(0.05 / max(scale, 1.0), pulse.support / 400.0)
+            runs.append((start, stop, step))
+    elif not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"time step must be finite and > 0, got {dt}")
+    else:
+        runs = [(0, n_sys, dt)]
+    size = dim * max(n_col, dim)
+    per_block = max(1, STACK_BLOCK // size)
+    fewest = -(-THREAD_BLOCK // size)       # systems per block split off
+    blocks = []
+    for start, stop, step in runs:
+        n_steps = max(1, int(math.ceil(pulse.support / step)))
+        n = stop - start
+        n_blocks = max(-(-n // per_block), min(WORKERS, n // fewest))
+        for part in np.array_split(np.arange(start, stop), n_blocks):
+            blocks.append((slice(part[0], part[-1] + 1),
+                           pulse.support / n_steps, n_steps))
+    return blocks
 
 
 def _strang(fc: np.ndarray, diag: np.ndarray, psi: np.ndarray,
-            pulse: PulseSpec, dt: float | None) -> None:
+            pulse: PulseSpec, dt: float | None,
+            groups: Sequence[int] | None = None) -> None:
     """Propagate a stack of S systems through the pulse, in place.
 
     ``fc`` (S, m, m) holds each system's ``fc_matrix``, whose singular
     value decomposition gives the coupling rotations, ``diag`` (S, dim, N)
     (N may broadcast) the diagonal of the Hamiltonian of each column,
     overwritten with its spread about the column mean, and ``psi`` the
-    C-contiguous complex (S, dim, N) states.  ``dt`` None takes the
-    automatic step of the system with the widest spectrum, so no system
-    gets a coarser step than it would alone; any other ``dt`` that is not
-    finite and > 0 raises ``ValueError``.  The stack runs in blocks of
-    at most ``STACK_BLOCK`` amplitudes, each through the whole pulse.  A
-    state whose norm moves by more than ``NORM_DRIFT_BOUND`` (relative)
-    raises ``RuntimeError``.
+    C-contiguous complex (S, dim, N) states.  ``dt`` None gives each group
+    of consecutive systems (``groups``, their sizes; default one group) the
+    automatic step of its system with the widest spectrum, so no system
+    gets a coarser step than it would alone and a group's states do not
+    depend on the others; any other ``dt`` that is not finite and > 0
+    raises ``ValueError``.
+
+    The stack runs in blocks of systems at one step, each through the whole
+    pulse: at most ``STACK_BLOCK`` amplitudes each, and split into as many
+    blocks as ``WORKERS`` while each keeps ``THREAD_BLOCK``.  The calling
+    thread runs one share of the blocks and ``WORKERS - 1`` helper threads
+    the others, in buffers the calling thread allocates; numpy releases
+    the GIL in the GEMMs and ufuncs that do the work.  A system's
+    arithmetic does not depend on its block, so the states are the same
+    for any number of workers.  An exception in any block reaches the
+    caller.  A state whose norm moves by more than ``NORM_DRIFT_BOUND``
+    (relative) raises ``RuntimeError``.
     """
     # Subtract the per-column mean: a constant on the diagonal is a global
     # phase and only the spread limits the split-step accuracy.
     diag -= diag.mean(axis=1, keepdims=True)
-    if dt is None:
-        scale = float(np.max(np.abs(diag))) + pulse.peak_rabi + abs(pulse.sweep)
-        dt = min(0.05 / max(scale, 1.0), pulse.support / 400.0)
-    elif not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"time step must be finite and > 0, got {dt}")
-    n_steps = max(1, int(math.ceil(pulse.support / dt)))
-    dt = pulse.support / n_steps
+    dim, n_col = psi.shape[1:]
+    blocks = _blocks(diag, pulse, dt, groups, n_col)
     u, sigma, vh = np.linalg.svd(fc)
-    v = vh.swapaxes(1, 2)
-    n_sys, dim, n_col = psi.shape
+    modes = _coupling_modes(u, vh.swapaxes(1, 2))
     norm0 = np.linalg.norm(psi, axis=1)
-    per_block = max(1, STACK_BLOCK // (dim * max(n_col, dim)))
-    for block in np.array_split(np.arange(n_sys), -(-n_sys // per_block)):
-        b = slice(block[0], block[-1] + 1)
-        _strang_steps(u[b], sigma[b], v[b], diag[b], psi[b], pulse, dt,
-                      n_steps)
+
+    n_workers = min(WORKERS, len(blocks))
+    shares = [blocks[w::n_workers] for w in range(n_workers)]
+
+    def buffers(share):
+        # work, diagonal phases and rotation tables of the largest block
+        most = max(b.stop - b.start for b, _, _ in share)
+        chunk = min(SCHEDULE_CHUNK, max(n for _, _, n in share))
+        return (np.empty((most, dim, n_col), dtype=complex),
+                np.empty((most, dim, diag.shape[2]), dtype=complex),
+                np.empty((most, chunk, dim * dim)))
+
+    def run(share, bufs):
+        for b, step, n_steps in share:
+            k = b.stop - b.start
+            _strang_steps(sigma[b], modes[b], diag[b], psi[b], pulse, step,
+                          n_steps, *(buf[:k] for buf in bufs))
+
+    bufs = [buffers(share) for share in shares]
+    if n_workers == 1:
+        run(shares[0], bufs[0])
+    else:
+        with ThreadPoolExecutor(n_workers - 1) as pool:
+            helpers = [pool.submit(run, share, buf)
+                       for share, buf in zip(shares[1:], bufs[1:])]
+            run(shares[0], bufs[0])
+            for helper in helpers:
+                helper.result()
     drift = (np.abs(np.linalg.norm(psi, axis=1) - norm0)
              / np.maximum(norm0, np.finfo(float).tiny))
     worst = np.unravel_index(np.argmax(drift), drift.shape)
@@ -290,39 +392,39 @@ def _strang(fc: np.ndarray, diag: np.ndarray, psi: np.ndarray,
             f"{NORM_DRIFT_BOUND:g}")
 
 
-def _strang_steps(u: np.ndarray, sigma: np.ndarray, v: np.ndarray,
-                  diag: np.ndarray, psi: np.ndarray, pulse: PulseSpec,
-                  dt: float, n_steps: int) -> None:
+def _strang_steps(sigma: np.ndarray, modes: np.ndarray, diag: np.ndarray,
+                  psi: np.ndarray, pulse: PulseSpec, dt: float, n_steps: int,
+                  work: np.ndarray, full: np.ndarray,
+                  table: np.ndarray) -> None:
     """The Strang loop of ``_strang`` on one block of systems.
 
     Second-order splitting with exact diagonal phases and the exact
     coupling rotation.  The down rows are multiplied by -i before the loop
     and by i after it (both exact), which makes the rotation the real
     orthogonal R(theta) of ``_coupling_modes``: one real GEMM per system
-    on the (dim, 2N) float view of its states, into the work buffer, and
-    the diagonal phases multiplied back into the states.  The step
-    schedule (Rabi frequencies, chirp phases and the R tables) is computed
-    ``SCHEDULE_CHUNK`` steps at a time.
+    on the (dim, 2N) float view of its states, into ``work``, and the
+    diagonal phases (``full``, shaped like ``diag``) multiplied back into
+    the states.  The step schedule (Rabi frequencies, chirp phases and the
+    R tables, into ``table``) is computed ``SCHEDULE_CHUNK`` steps at a
+    time.
     """
     # Adjacent Strang half steps merge: the diagonal phases into ``full``,
     # and a chirp's -(delta(t) - delta) P_up, which commutes with them, into
     # one scalar phase on the up rows per step (never applied off a chirp).
     m = psi.shape[1] // 2
     chirp = pulse.envelope == "adiabatic_chirp"
-    full = np.multiply(diag, -0.5j * dt, dtype=complex)
+    np.multiply(diag, -0.5j * dt, out=full)
     np.exp(full, out=full)
     psi *= full
     full *= full       # the half steps' phases squared; the last is redone
     psi[:, m:] *= -1j
-    modes = _coupling_modes(u, v)
-    work = np.empty_like(psi)
     psi_f, work_f = psi.view(np.float64), work.view(np.float64)
     dd_prev = 0.0
     for start in range(0, n_steps, SCHEDULE_CHUNK):
         steps = range(start, min(start + SCHEDULE_CHUNK, n_steps))
         tm = (np.arange(steps.start, steps.stop) + 0.5) * dt
         omega = pulse.rabi(tm)
-        rotation = _rotation_tables(modes, sigma, 0.5 * dt * omega)
+        rotation = _rotation_tables(modes, sigma, 0.5 * dt * omega, table)
         if chirp:
             dd = pulse.instantaneous_detuning(tm) - pulse.detuning
             merged = np.concatenate(([dd_prev], dd[:-1])) + dd
@@ -489,7 +591,8 @@ def _stacked_transfers(groups: list[list[tuple[SidebandSystem, int, float]]],
     """Weighted transfer from the up spin of each group of thermal states.
 
     Every entry of every group is one system of a single stacked Strang
-    loop over the detuning grid.
+    loop over the detuning grid.  At ``dt`` None each group takes its own
+    automatic step, so a group's transfer is the same stacked or alone.
     """
     entries = [e for group in groups for e in group]
     dim = entries[0][0].dim
@@ -499,7 +602,7 @@ def _stacked_transfers(groups: list[list[tuple[SidebandSystem, int, float]]],
         diag[s] = system.diagonal(detunings)
         psi[s, n0] = 1.0
     _strang(np.array([e[0].fc_matrix for e in entries]), diag, psi, pulse,
-            dt)
+            dt, [len(group) for group in groups])
     down = np.sum(np.abs(psi[:, dim // 2:]) ** 2, axis=1)       # (S, Nd)
     out, s = [], 0
     for group in groups:
@@ -524,12 +627,28 @@ def simulate_spectrum(geom: LatticeGeometry, atom: AtomConstants,
     stacked loop.  Valid when the radial trap frequency omega_r << Omega_0
     (frozen-position approximation; ``_thermal_systems``).
     """
+    return simulate_spectra([geom], atom, pulse, detunings, t2d, cfg)[0]
+
+
+def simulate_spectra(geoms: Sequence[LatticeGeometry], atom: AtomConstants,
+                     pulse: PulseSpec, detunings: np.ndarray,
+                     t2d: float = 0.0,
+                     cfg: SpectroscopyConfig = SpectroscopyConfig(),
+                     ) -> list[SpectrumResult]:
+    """``simulate_spectrum`` of each geometry, the thermal states of all of
+    them in one stacked loop; each spectrum is the one it gives alone."""
     detunings = np.asarray(detunings, dtype=float)
-    up, down, dx = potentials_from_angle(geom)
-    states = _thermal_systems(up.contrast, down.contrast, down.total_depth,
-                              dx, t2d, atom, geom.lattice_wavelength, cfg)
-    transfer = _stacked_transfers([states], pulse, detunings, cfg.dt)[0]
-    return SpectrumResult(detunings=detunings, transfer=transfer)
+    if not geoms:
+        return []
+    groups = []
+    for geom in geoms:
+        up, down, dx = potentials_from_angle(geom)
+        groups.append(_thermal_systems(
+            up.contrast, down.contrast, down.total_depth, dx, t2d, atom,
+            geom.lattice_wavelength, cfg))
+    return [SpectrumResult(detunings=detunings, transfer=transfer)
+            for transfer in _stacked_transfers(groups, pulse, detunings,
+                                               cfg.dt)]
 
 
 def binomial_sigma(successes: np.ndarray, trials: int) -> np.ndarray:

@@ -280,6 +280,70 @@ def test_fit_of_an_empty_spectrum_exits_3(tmp_path, capsys):
     assert not (tmp_path / "fit.json").exists()
 
 
+@pytest.mark.parametrize("rows, column, row", [
+    (["-400,0.1", "np.float64(-200.0),0.5", "0,0.2"], "detuning_khz", 2),
+    (["-400,0.1", "-200,0.5", "0,"], "p_theta_0.3538", 3),
+    (["-400,inf", "-200,0.5", "0,0.2"], "p_theta_0.3538", 1),
+], ids=["detuning_unparsed", "data_missing", "data_infinite"])
+def test_fit_input_that_is_not_a_finite_number_exits_2(tmp_path, capsys,
+                                                        rows, column, row):
+    data = tmp_path / "data.csv"
+    data.write_text("detuning_khz,p_theta_0.3538\n" + "\n".join(rows) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fit": dict(TINY_FIT, input_csv=str(data))}))
+    assert run_cli(["fit", "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(data) in err and f"'{column}'" in err
+    assert f"data row {row}" in err
+    assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize("time_step_s, atoms", [(None, 50), (None, 0),
+                                                (1e-6, 50)])
+def test_stacked_angles_write_the_per_angle_spectra(tmp_path, time_step_s,
+                                                    atoms):
+    # every angle's thermal states run in one stack; at the automatic step
+    # each angle keeps its own, so the CSV is that of one simulate_spectrum
+    # call per angle followed by the binomial draws in angle order (the
+    # noiseless case shows a change of step that the draws would round off)
+    from mwlattice.cli import _geometry, _write_csv
+    from mwlattice.lattice import cesium
+    from mwlattice.spectroscopy import (SpectroscopyConfig, gaussian_pi_pulse,
+                                        simulate_spectrum)
+    angles = [0.3538, 0.8770, 1.3167]
+    block = {"solver": {"n_max": 5, "k_points": 8},
+             "spectrum": {"polarization_angles": angles,
+                          "pulse_fwhm_us": 30.0, "detuning_min_khz": -400.0,
+                          "detuning_max_khz": 0.0, "n_detunings": 40,
+                          "thermal_samples": 2, "atoms_per_point": atoms,
+                          "time_step_s": time_step_s}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(block))
+    assert run_cli(["spectrum", "--config", str(cfg_path), "--out",
+                    str(tmp_path / "cli"), "--seed", "7"]) == 0
+
+    cfg = resolve(block)
+    sp = cfg["spectrum"]
+    scfg = SpectroscopyConfig(n_max=5, k_points=8, thermal_samples=2,
+                              dt=time_step_s)
+    pulse = gaussian_pi_pulse(sp["pulse_fwhm_us"] * 1e-6)
+    detunings = 2 * math.pi * 1e3 * np.linspace(-400.0, 0.0, 40)
+    rng = np.random.default_rng(7)
+    cols, headers = [detunings / (2 * math.pi * 1e3)], ["detuning_khz"]
+    for angle in angles:
+        transfer = simulate_spectrum(
+            _geometry(cfg, angle=angle), cesium(), pulse, detunings,
+            t2d=sp["temperature_2d_uk"] * 1e-6, cfg=scfg).transfer
+        if atoms > 0:
+            transfer = rng.binomial(atoms, np.clip(transfer, 0, 1)) / atoms
+        cols.append(transfer)
+        headers.append(f"p_theta_{angle:.4f}")
+    _write_csv(tmp_path / "want.csv", headers, cols)
+    assert ((tmp_path / "cli" / "spectrum.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
+
+
 def test_fit_reports_diagnostics(tmp_path):
     # a noiseless spectrum at a small solver size, fitted twice: fit.json
     # carries the optimizer's diagnostics and is byte-identical

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +21,8 @@ from mwlattice.spectroscopy import (FIT_NAMES, STACK_BLOCK, PulseSpec,
                                     binomial_sigma, build_system,
                                     evolve_pulse, fit_spectrum,
                                     gaussian_pi_pulse, propagate_detunings,
-                                    simulate_spectrum, system_from_potentials)
+                                    simulate_spectrum, system_from_potentials,
+                                    worker_count)
 
 ATOM = cesium()
 FOUR_LN2 = 4 * math.log(2)
@@ -404,6 +407,96 @@ def test_stacked_chirp_matches_separate_calls():
                                   SpinMotionState(np.eye(dim, dtype=complex)),
                                   [pulse.detuning], dt=3e-7)
         assert np.abs(u - one.T).max() < 1e-12
+
+
+def uneven_stack(envelope):
+    """Five systems of ``THREAD_BLOCK`` amplitudes each (dim 10 x 600
+    columns): one block for one worker, five blocks at most for more."""
+    model = HarmonicModel(2 * math.pi * 60e3, n_max=4)
+    systems = [model.system(eta) for eta in (0.4, 0.7, 1.0, 1.3, 1.6)]
+    detunings = systems[0].resonance(0, 1) + 2 * math.pi * 1e3 * np.linspace(
+        -30.0, 30.0, 600)
+    if envelope == "gaussian":
+        pulse = gaussian_pi_pulse(30e-6)
+    else:
+        pulse = PulseSpec("adiabatic_chirp", peak_rabi=2 * math.pi * 20e3,
+                          detuning=systems[0].resonance(0, 1),
+                          duration=100e-6, sweep=2 * math.pi * 40e3)
+    fc = np.array([s.fc_matrix for s in systems])
+    diag = np.stack([s.diagonal(detunings) for s in systems])
+    rng = np.random.default_rng(3)
+    psi = (rng.normal(size=diag.shape)
+           + 1j * rng.normal(size=diag.shape)).astype(complex)
+    return fc, diag, psi, pulse
+
+
+@pytest.mark.parametrize("envelope", ["gaussian", "adiabatic_chirp"])
+def test_states_do_not_depend_on_the_worker_count(monkeypatch, envelope):
+    fc, diag, psi, pulse = uneven_stack(envelope)
+    steps = spectroscopy._strang_steps
+    blocks = []
+
+    def recorded(sigma, *args):
+        blocks.append((threading.get_ident(), len(sigma)))
+        steps(sigma, *args)
+
+    monkeypatch.setattr(spectroscopy, "_strang_steps", recorded)
+    split = {1: [5], 2: [2, 3], 4: [1, 1, 1, 2]}
+    out = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # threads switch between numpy calls
+    try:
+        for workers, sizes in split.items():
+            monkeypatch.setattr(spectroscopy, "WORKERS", workers)
+            blocks.clear()
+            out[workers] = psi.copy()
+            _strang(fc, diag.copy(), out[workers], pulse, 5e-7)
+            assert len({ident for ident, _ in blocks}) == workers
+            assert sorted(n for _, n in blocks) == sizes
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(out[1], out[2])
+    assert np.array_equal(out[1], out[4])
+
+
+class HelperFailure(Exception):
+    pass
+
+
+def test_helper_exception_reaches_the_caller(monkeypatch):
+    fc, diag, psi, pulse = uneven_stack("gaussian")
+    steps = spectroscopy._strang_steps
+    main = threading.get_ident()
+
+    def failing(*args):
+        if threading.get_ident() != main:
+            raise HelperFailure("block failed")
+        steps(*args)
+
+    monkeypatch.setattr(spectroscopy, "_strang_steps", failing)
+    monkeypatch.setattr(spectroscopy, "WORKERS", 2)
+    threads = threading.active_count()
+    with pytest.raises(HelperFailure, match="block failed"):
+        _strang(fc, diag, psi, pulse, 5e-7)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cores, env, workers", [
+    (2, {}, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "2"}, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "4"}, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+    (2, {"MKL_NUM_THREADS": "1"}, 2),
+    (2, {"OMP_NUM_THREADS": "1"}, 2),
+    (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 2),
+    (2, {"OMP_NUM_THREADS": "0"}, 1),
+    (2, {"OMP_NUM_THREADS": "4,2"}, 1),
+    (8, {"OPENBLAS_NUM_THREADS": "2"}, 4),
+    (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+])
+def test_worker_count_is_cores_over_blas_threads(cores, env, workers):
+    assert worker_count(cores, env) == workers
 
 
 def test_stack_matches_ode_integrator_on_a_grid():
