@@ -349,8 +349,8 @@ def cmd_filter(cfg: dict, out: Path, rng) -> dict:
     _write_csv(out / "filter_reconstructed.csv", ["n", "p"],
                [np.arange(rec.p.size), rec.p])
     return {"f_prime": f_prime,
-            "max_reconstruction_error": float(
-                np.abs(rec.p - dist.p[:rec.p.size]).max())}
+            "max_reconstruction_error": round(float(
+                np.abs(rec.p - dist.p[:rec.p.size]).max()), 12)}
 
 
 COMMANDS = {

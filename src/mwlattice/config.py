@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 
 
@@ -102,7 +103,11 @@ DEFAULTS: dict = {
     },
 }
 
-_NUMERIC = (int, float)
+
+def _number(value) -> bool:
+    """An int or a finite float (JSON's NaN and Infinity), not a bool."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and math.isfinite(value))
 
 
 def _validate(user, default, path):
@@ -117,22 +122,20 @@ def _validate(user, default, path):
         return merged
     loc = path.rstrip(".")
     if default is None:
-        if user is not None and (isinstance(user, bool)
-                                 or not isinstance(user, _NUMERIC)):
-            raise ConfigError(f"'{loc}' must be a number or null")
+        if user is not None and not _number(user):
+            raise ConfigError(f"'{loc}' must be a finite number or null")
         return user
-    if isinstance(default, _NUMERIC):
-        if isinstance(user, bool) or not isinstance(user, _NUMERIC):
-            raise ConfigError(f"'{loc}' must be a number")
+    if isinstance(default, (int, float)):
+        if not _number(user):
+            raise ConfigError(f"'{loc}' must be a finite number")
         return type(default)(user) if isinstance(default, float) else user
     if isinstance(default, str):
         if not isinstance(user, str):
             raise ConfigError(f"'{loc}' must be a string")
         return user
     if isinstance(default, list):
-        if not isinstance(user, list) or any(
-                isinstance(v, bool) or not isinstance(v, _NUMERIC) for v in user):
-            raise ConfigError(f"'{loc}' must be a list of numbers")
+        if not isinstance(user, list) or not all(map(_number, user)):
+            raise ConfigError(f"'{loc}' must be a list of finite numbers")
         return [float(v) for v in user]
     raise ConfigError(f"unsupported schema entry at '{loc}'")
 

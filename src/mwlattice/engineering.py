@@ -103,7 +103,8 @@ def pulse_unitary(model: HarmonicModel, pulse: PulseSpec,
 
     Propagates the identity, as a batch of row states, through
     ``spectroscopy.propagate_detunings`` at ``pulse.detuning`` with step
-    ``model.dt`` (None = automatic); the propagated rows form the
+    ``model.dt`` (None: one exponential for a rectangular pulse, else the
+    exponential midpoint at a tolerance); the propagated rows form the
     transpose of the unitary.  Time-dependent detuning (chirp) supported.
     """
     system = model.system(eta_x)

@@ -48,6 +48,9 @@ class PulseSpec:
     sweep: float = 0.0          # rad/s, chirp total sweep width
 
     def __post_init__(self):
+        for name in ("peak_rabi", "detuning", "fwhm", "duration", "sweep"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"pulse {name} must be finite, got {value}")
         if self.peak_rabi < 0:
             raise ValueError("peak_rabi must be >= 0")
         if self.envelope not in ("gaussian", "rectangular", "adiabatic_chirp"):
@@ -382,6 +385,11 @@ def _strang(fc: np.ndarray, diag: np.ndarray, psi: np.ndarray,
             run(shares[0], bufs[0])
             for helper in helpers:
                 helper.result()
+    _check_norm(psi, norm0)
+
+
+def _check_norm(psi: np.ndarray, norm0: np.ndarray) -> None:
+    """Raise when a norm moves off ``norm0`` past ``NORM_DRIFT_BOUND``."""
     drift = (np.abs(np.linalg.norm(psi, axis=1) - norm0)
              / np.maximum(norm0, np.finfo(float).tiny))
     worst = np.unravel_index(np.argmax(drift), drift.shape)
@@ -442,6 +450,67 @@ def _strang_steps(sigma: np.ndarray, modes: np.ndarray, diag: np.ndarray,
     psi[:, m:] *= 1j
 
 
+# Largest estimated population error of ``_midpoint``: engineering's
+# ``FOCK_CHIRP`` at n_max 15 meets it at 4096 steps, 3.5e-8 off 32768 steps;
+# columns of a 1 ms chirp and a Gaussian at n_max 8 are within 4.2e-8 of
+# DOP853.
+MIDPOINT_TOLERANCE = 5e-8
+
+# Step count of ``_midpoint``'s first try, and the cap past which it raises.
+MIDPOINT_STEPS = (64, 1 << 17)
+
+
+def _exponentials(system: SidebandSystem, pulse: PulseSpec, t: np.ndarray,
+                  dt: float) -> np.ndarray:
+    """exp(-i H(t_k) dt), (K, dim, dim), by one stacked ``eigh``; H's
+    diagonal less its mean at ``pulse.detuning``, as in ``_strang``."""
+    m, dim = system.n_max + 1, system.dim
+    h = np.zeros((t.size, dim, dim))
+    h[:, m:, :m] = -0.5 * pulse.rabi(t)[:, None, None] * system.fc_matrix
+    h[:, :m, m:] = h[:, m:, :m].swapaxes(1, 2)
+    h.reshape(t.size, -1)[:, ::dim + 1] = (
+        system.diagonal(pulse.instantaneous_detuning(t))
+        - system.diagonal(pulse.detuning).mean()).T
+    w, v = np.linalg.eigh(h)
+    vt = v.swapaxes(1, 2)
+    out = np.empty(h.shape, dtype=complex)
+    out.real = (v * np.cos(dt * w)[:, None, :]) @ vt
+    out.imag = (v * -np.sin(dt * w)[:, None, :]) @ vt
+    return out
+
+
+def _midpoint(system: SidebandSystem, pulse: PulseSpec,
+              psi: np.ndarray) -> np.ndarray:
+    """The (dim, N) states ``psi`` after the pulse at ``pulse.detuning``.
+
+    A rectangular pulse is one exact exponential, any other the exponential
+    midpoint rule (2nd-order Magnus) at 64, 128, ... steps until the
+    largest population change d of a doubling falls 3x or more (4x is the
+    rate; not asked below ``MIDPOINT_TOLERANCE`` / 100) to d / 3 <= the
+    tolerance.  Past ``MIDPOINT_STEPS[1]`` steps it raises."""
+    if pulse.envelope == "rectangular":
+        return _exponentials(system, pulse, np.zeros(1), pulse.support)[0] \
+            @ psi
+    n, last, prev = MIDPOINT_STEPS[0], None, 0.0
+    while n <= MIDPOINT_STEPS[1]:
+        dt, out, work = pulse.support / n, psi.copy(), np.empty_like(psi)
+        for start in range(0, n, SCHEDULE_CHUNK):
+            t = (np.arange(start, min(start + SCHEDULE_CHUNK, n)) + 0.5) * dt
+            for step in _exponentials(system, pulse, t, dt):   # time order
+                out, work = np.matmul(step, out, out=work), out
+        pops = np.abs(out) ** 2
+        if last is not None:
+            diff = float(np.max(np.abs(pops - last)))
+            if diff <= 3 * MIDPOINT_TOLERANCE and (
+                    3 * diff <= prev or 100 * diff <= MIDPOINT_TOLERANCE):
+                return out
+            prev = diff
+        last, n = pops, 2 * n
+    raise RuntimeError(
+        f"{pulse}: the exponential midpoint at {n // 2} steps is off by about "
+        f"{prev / 3:.3g} in populations, above {MIDPOINT_TOLERANCE:g}")
+
+
 def propagate_detunings(system: SidebandSystem, pulse: PulseSpec,
                         initial: SpinMotionState, detunings: np.ndarray,
                         dt: float | None = None) -> np.ndarray:
@@ -449,12 +518,13 @@ def propagate_detunings(system: SidebandSystem, pulse: PulseSpec,
 
     ``initial.amplitudes`` is one state (dim,) or a batch of row states
     (B, dim) broadcast against the detunings (B = 1, n_detunings = 1 or
-    B = n_detunings).  Second-order Strang splitting: exact diagonal phases,
+    B = n_detunings).  One detuning at ``dt`` None takes ``_midpoint``,
+    anything else second-order Strang splitting: exact diagonal phases,
     exact coupling rotation from a single singular value decomposition of
     ``fc_matrix``, as one real orthogonal matrix per step.  Each step is
     unitary, so the norm is conserved to rounding (checked against
-    ``NORM_DRIFT_BOUND``), and symmetric, so the identity batch comes out
-    as the transpose of the pulse unitary.
+    ``NORM_DRIFT_BOUND``), and the identity batch comes out as the
+    transpose of the pulse unitary.
 
     This is the one-system case of the stacked Strang loop that the thermal
     spectra and the fit's Jacobian also run: the states are the columns of
@@ -467,7 +537,12 @@ def propagate_detunings(system: SidebandSystem, pulse: PulseSpec,
     shape = np.broadcast_shapes(amps.shape, diag.T.shape)
     psi = np.array(np.broadcast_to(amps, shape).T[None], dtype=complex,
                    order="C")
-    _strang(system.fc_matrix[None], diag[None], psi, pulse, dt)
+    if dt is None and diag.shape[1] == 1:
+        norm0 = np.linalg.norm(psi, axis=1)
+        psi[0] = _midpoint(system, pulse, psi[0])
+        _check_norm(psi, norm0)
+    else:
+        _strang(system.fc_matrix[None], diag[None], psi, pulse, dt)
     return psi[0].T.copy()
 
 

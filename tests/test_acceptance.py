@@ -377,7 +377,7 @@ def test_criterion_11_state_engineering():
     fids = {m: prepare_fock(model, m)[1] for m in range(7)}
     elapsed = time.perf_counter() - t0
     ok = (sup_dev < 0.01 and mean_dev_harm < 0.02 and mean_dev_exact < 0.10
-          and min(fids.values()) >= 0.98)
+          and min(fids.values()) >= 0.98 and elapsed < 60.0)
     verdict(11, "state engineering", ok,
             f"superposition dev = {sup_dev:.4f}, coherent mean dev = "
             f"{mean_dev_harm:.1e} (harmonic) / {mean_dev_exact:.2%} "

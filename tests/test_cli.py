@@ -242,6 +242,51 @@ def test_filter_command_reports_f_prime(tmp_path):
     assert meta["results"]["max_reconstruction_error"] < 1e-10
 
 
+@pytest.mark.parametrize("atoms", [0, 120])
+def test_filter_rounds_the_reconstruction_error(tmp_path, atoms):
+    # exact plateaus reconstruct to rounding (1.7e-16), recorded as 0.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"filter": {"atoms": atoms}}))
+    assert run_cli(["filter", "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "filter.json").read_text())
+    error = meta["results"]["max_reconstruction_error"]
+    assert error == round(error, 12)
+    assert (error == 0.0) if atoms == 0 else (0.01 < error < 0.5)
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("spectrum", '{"spectrum": {"pulse_fwhm_us": Infinity}}',
+     "spectrum.pulse_fwhm_us"),
+    ("engineer", '{"engineer": {"pulse_areas": [Infinity]}}',
+     "engineer.pulse_areas"),
+    ("engineer", '{"engineer": {"pulse_areas": [NaN]}}',
+     "engineer.pulse_areas"),
+    ("spectrum", '{"spectrum": {"time_step_s": -Infinity}}',
+     "spectrum.time_step_s"),
+], ids=["number_infinite", "list_infinite", "list_nan", "null_default"])
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, text,
+                                          key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run_cli([command, "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 2
+    assert f"'{key}' must be a" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
+def test_midpoint_at_its_step_cap_exits_3(tmp_path, monkeypatch, capsys):
+    from mwlattice import spectroscopy
+    monkeypatch.setattr(spectroscopy, "MIDPOINT_STEPS", (64, 256))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"engineer": {"task": "fock", "fock_m": 2, "n_max": 4}}))
+    assert run_cli(["engineer", "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 3
+    assert "exponential midpoint at 256 steps" in capsys.readouterr().err
+    assert not (tmp_path / "engineer.json").exists()
+
+
 def test_fit_requires_input(tmp_path):
     assert run_cli(["fit", "--out", str(tmp_path)]) == 2
 

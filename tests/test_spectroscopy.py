@@ -532,6 +532,69 @@ def test_chirp_unitary_matches_ode_integrator_every_column():
         assert np.abs(np.abs(u[:, col]) ** 2 - np.abs(ref) ** 2).max() < 3e-8
 
 
+def identity_unitary(system, pulse):
+    """The pulse unitary at ``pulse.detuning`` and the automatic step."""
+    identity = SpinMotionState(np.eye(system.dim, dtype=complex))
+    return propagate_detunings(system, pulse, identity, [pulse.detuning]).T
+
+
+@pytest.mark.parametrize("envelope", ["adiabatic_chirp", "gaussian"])
+def test_midpoint_unitary_matches_ode_integrator_every_column(envelope):
+    system = HarmonicModel(2 * math.pi * 60e3, n_max=5).system(1.0)
+    if envelope == "gaussian":
+        pulse = replace(gaussian_pi_pulse(30e-6, system.resonance(0, 1)),
+                        peak_rabi=2 * math.pi * 60e3)
+    else:
+        pulse = PulseSpec("adiabatic_chirp", peak_rabi=2 * math.pi * 20e3,
+                          detuning=system.resonance(0, 1), duration=150e-6,
+                          sweep=2 * math.pi * 40e3)
+    u = identity_unitary(system, pulse)
+    for col in range(system.dim):
+        basis = np.zeros(system.dim, dtype=complex)
+        basis[col] = 1.0
+        ref = evolve_pulse(system, pulse, SpinMotionState(basis)).amplitudes
+        # at most 1.5e-8 (chirp) and 1.3e-8 (Gaussian)
+        assert np.abs(np.abs(u[:, col]) ** 2 - np.abs(ref) ** 2).max() < 1e-7
+
+
+def test_rectangular_pulse_is_one_exponential():
+    from scipy.linalg import expm
+    model = HarmonicModel(2 * math.pi * 116.73e3, n_max=8)
+    system = model.system(0.7)
+    pulse = PulseSpec("rectangular", peak_rabi=2 * math.pi * 10e3,
+                      detuning=system.resonance(0, 1), duration=50e-6)
+    m = model.n_max + 1
+    h = np.diag(system.diagonal(pulse.detuning)[:, 0])
+    h[:m, m:] -= 0.5 * pulse.peak_rabi * system.fc_matrix.T
+    h[m:, :m] -= 0.5 * pulse.peak_rabi * system.fc_matrix
+    want = expm(-1j * h * pulse.duration)
+    got = identity_unitary(system, pulse)
+    # equal up to the global phase of the diagonal's mean
+    phase = np.trace(want.conj().T @ got)
+    assert np.abs(got - phase / abs(phase) * want).max() < 1e-12
+
+
+def test_midpoint_raises_at_its_step_cap(monkeypatch):
+    monkeypatch.setattr(spectroscopy, "MIDPOINT_STEPS", (64, 256))
+    system = HarmonicModel(2 * math.pi * 116.73e3, n_max=4).system(1.0)
+    pulse = PulseSpec("adiabatic_chirp", peak_rabi=2 * math.pi * 8e3,
+                      detuning=system.resonance(0, 1), duration=1e-3,
+                      sweep=2 * math.pi * 50e3)
+    with pytest.raises(RuntimeError, match=r"PulseSpec\(envelope='adiabatic_"
+                       r"chirp'.*: the exponential midpoint at 256 steps is "
+                       r"off by about [0-9.e-]+ in populations, above 5e-08"):
+        identity_unitary(system, pulse)
+
+
+@pytest.mark.parametrize("field", ["peak_rabi", "detuning", "fwhm",
+                                   "duration", "sweep"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_pulse_spec_rejects_non_finite_fields(field, value):
+    fields = {"peak_rabi": 1e5, "fwhm": 30e-6, field: value}
+    with pytest.raises(ValueError, match=f"pulse {field} must be finite"):
+        PulseSpec("gaussian", **fields)
+
+
 FIT_GEOM = LatticeGeometry(865.95, 850.0, 0.8770)
 
 
