@@ -38,18 +38,29 @@ def default_q_cutoff(depth: float) -> int:
 
 @dataclass(frozen=True)
 class BlochSpectrum:
-    """Fourier coefficients and band energies of one lattice depth.
+    """Eigenvectors and band energies of one lattice depth.
 
-    coefficients[j, n, i] is a_{n, q_i}(k_j) with q_i = i - q_cutoff;
-    energies[j, n] is eps_n(k_j) in E_R, offset retained (potential >= 0).
+    vectors[j, n, i] is band n's real eigenvector on q_i = i - q_cutoff at
+    k_grid[N_k // 2 + j] >= 0; energies[j, n] is eps_n(k_j) in E_R, offset
+    retained (potential >= 0).  ``coefficients`` derives a_{n, q_i}(k_j).
     """
 
     depth: float
     n_bands: int
     k_grid: np.ndarray          # (N_k,), units of k_L, symmetric offset grid
     q_cutoff: int
-    coefficients: np.ndarray    # (N_k, n_bands, 2*q_cutoff+1), complex
+    vectors: np.ndarray         # (ceil(N_k/2), n_bands, 2*q_cutoff+1), real
     energies: np.ndarray        # (N_k, n_bands), E_R
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """a_{n, q_i}(k_j) at [j, n, i], (N_k, n_bands, N_q), complex."""
+        return self.band_coefficients(slice(None))
+
+    def band_coefficients(self, n: int | slice) -> np.ndarray:
+        """``coefficients[:, n, :]``, building only band(s) n."""
+        return _fix_phases(_mirrored(self.vectors[:, n], self.k_grid.size),
+                           np.arange(self.n_bands)[n])
 
     @property
     def q_values(self) -> np.ndarray:
@@ -91,7 +102,7 @@ class WannierState:
         """
         x = np.asarray(x, dtype=float)
         spec = self.spectrum
-        coef = spec.coefficients[:, self.band, :]            # (N_k, N_q)
+        coef = spec.band_coefficients(self.band)             # (N_k, N_q)
         n_k, q_max = spec.k_grid.size, spec.q_cutoff
         half = n_k // 2
         pos = coef[:, q_max:].T                              # q = 0, 1, ...
@@ -141,8 +152,13 @@ def _solve_single_k(k: float, depth: float, n_bands: int, q_cutoff: int):
     return vals, vecs.T  # vecs[n, i]
 
 
-def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Apply the reality/parity phase convention to real eigenvectors.
+def _mirrored(half: np.ndarray, n_k: int) -> np.ndarray:
+    """k >= 0 rows on the whole k grid: -k takes the q-reversed rows of k."""
+    return np.concatenate((half[n_k % 2:][::-1, ..., ::-1], half))
+
+
+def _fix_phases(vecs: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The reality/parity phase convention on real vectors of bands ``n``.
 
     Even bands: sum_q a_q carries the sign (-1)^(n/2); odd bands: coefficients
     are -i times a real vector whose sum_q sign(q) a_q carries the sign
@@ -151,14 +167,14 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     (even wavefunctions alternate sign at the center every two levels), so
     Franck-Condon signs agree with displacement-operator matrix elements.
     """
-    n_bands, n_q = vecs.shape
-    n = np.arange(n_bands)
-    odd = (n % 2 == 1)[:, None]
+    n_q = vecs.shape[-1]
+    odd = (n % 2 == 1)[..., None]
     q = np.arange(n_q) - (n_q - 1) // 2
-    s = np.sum(np.where(odd, np.sign(q), 1.0) * vecs, axis=1)
+    s = np.sum(np.where(odd, np.sign(q), 1.0) * vecs, axis=-1)
     want = np.where((n // 2) % 2 == 1, -1.0, 1.0)
-    sign = np.where(s >= 0, want, -want)[:, None]
-    return np.where(odd, -1j * sign * vecs, sign * vecs)
+    sign = np.where(s >= 0, want, -want)[..., None]
+    out = np.multiply(sign, vecs, out=np.empty(vecs.shape, complex))
+    return np.multiply(-1j * sign, vecs, out=out, where=odd)
 
 
 def solve_bands(depth: float, n_bands: int = 16, k_points: int = 64,
@@ -172,7 +188,8 @@ def solve_bands(depth: float, n_bands: int = 16, k_points: int = 64,
     the same energies and the q-reversed eigenvectors (an odd N_k solves
     k = 0 once).  Every eigenpair, mirrored ones included, is checked
     against the full tridiagonal operator; a residual above
-    ``RESIDUAL_TOL`` raises ``BandSolverError`` naming the band and k.
+    ``RESIDUAL_TOL`` (or NaN) raises ``BandSolverError`` naming the band
+    and k, the lowest k first.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -186,33 +203,23 @@ def solve_bands(depth: float, n_bands: int = 16, k_points: int = 64,
         raise ValueError("n_bands exceeds plane-wave basis size")
 
     k_grid = (2.0 * np.arange(k_points) + 1.0 - k_points) / k_points
-    n_q = 2 * q_cutoff + 1
-    coeffs = np.empty((k_points, n_bands, n_q), dtype=complex)
-    energies = np.empty((k_points, n_bands))
+    solves = [_solve_single_k(k, depth, n_bands, q_cutoff)     # largest first
+              for k in k_grid[k_points // 2:][::-1]][::-1]
+    vals, vectors = map(np.array, zip(*solves))
+    energies = np.concatenate((vals[k_points % 2:][::-1], vals))
+    v = _mirrored(vectors, k_points)
     q = np.arange(-q_cutoff, q_cutoff + 1)
-    for j in range((k_points + 1) // 2):     # k_j <= 0, mirror k >= 0
-        mirror = k_points - 1 - j
-        vals, vecs = _solve_single_k(k_grid[mirror], depth, n_bands, q_cutoff)
-        pairs = ([(mirror, vecs)] if j == mirror
-                 else [(j, vecs[:, ::-1]), (mirror, vecs)])
-        for i, v in pairs:
-            k = k_grid[i]
-            # Residual check against the full operator, all bands at once.
-            hv = ((k + 2.0 * q) ** 2 + depth / 2.0) * v
-            hv[:, 1:] += -depth / 4.0 * v[:, :-1]
-            hv[:, :-1] += -depth / 4.0 * v[:, 1:]
-            res = np.linalg.norm(hv - vals[:, None] * v, axis=1)
-            tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))
-            bad = np.flatnonzero(res > tol)
-            if bad.size:
-                n = bad[0]
-                raise BandSolverError(f"eigen-residual {res[n]:.2e} above "
-                                      f"tolerance at band {n}, k={k:.4f}")
-            energies[i] = vals
-            coeffs[i] = _fix_phases(v)
+    hv = ((k_grid[:, None] + 2.0 * q) ** 2 + depth / 2.0)[:, None] * v
+    hv[..., 1:] += -depth / 4.0 * v[..., :-1]
+    hv[..., :-1] += -depth / 4.0 * v[..., 1:]
+    res = np.linalg.norm(hv - energies[..., None] * v, axis=-1)
+    bad = np.argwhere(~(res <= RESIDUAL_TOL * np.maximum(1.0, abs(energies))))
+    if bad.size:
+        i, n = bad[0]
+        raise BandSolverError(f"eigen-residual {res[i, n]:.2e} above "
+                              f"tolerance at band {n}, k={k_grid[i]:.4f}")
     return BlochSpectrum(depth=float(depth), n_bands=n_bands, k_grid=k_grid,
-                         q_cutoff=q_cutoff, coefficients=coeffs,
-                         energies=energies)
+                         q_cutoff=q_cutoff, vectors=vectors, energies=energies)
 
 
 def wannier(spectrum: BlochSpectrum, band: int, site: int = 0) -> WannierState:
@@ -227,8 +234,8 @@ def wannier_overlap(a: WannierState, b: WannierState) -> float:
         raise ValueError("mismatched spectra grids")
     ka = a.spectrum.k_grid
     phase = np.exp(1j * ka * (a.site - b.site) * math.pi)
-    inner = np.einsum("ki,ki->k", np.conj(a.spectrum.coefficients[:, a.band, :]),
-                      b.spectrum.coefficients[:, b.band, :])
+    inner = np.einsum("ki,ki->k", np.conj(a.spectrum.band_coefficients(a.band)),
+                      b.spectrum.band_coefficients(b.band))
     val = np.sum(phase * inner) / ka.size
     return float(np.real(val))
 

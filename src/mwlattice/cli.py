@@ -78,6 +78,8 @@ def _geometry(cfg: dict, angle: float | None = None) -> LatticeGeometry:
 
 def _q_cutoff(cfg: dict) -> int | None:
     q = cfg["solver"]["q_cutoff"]
+    if q is not None and q != int(q):
+        raise ConfigError("'solver.q_cutoff' must be an integer or null")
     return int(q) if q is not None else None
 
 
@@ -90,15 +92,15 @@ def cmd_bands(cfg: dict, out: Path, rng) -> dict:
     depth = cfg["bands"]["depth"]
     if depth is None:
         depth = cfg["lattice"]["depth_up"]
-    spec = solve_bands(float(depth), n_bands=int(sol["n_max"]) + 1,
-                       k_points=int(sol["k_points"]), q_cutoff=_q_cutoff(cfg))
+    spec = solve_bands(float(depth), n_bands=sol["n_max"] + 1,
+                       k_points=sol["k_points"], q_cutoff=_q_cutoff(cfg))
     headers = ["k"] + [f"eps_{n}" for n in range(spec.n_bands)]
     _write_csv(out / "bands.csv", headers,
                [spec.k_grid] + [spec.energies[:, n] for n in range(spec.n_bands)])
 
-    nw = min(int(cfg["bands"]["wannier_bands"]), spec.n_bands)
+    nw = min(cfg["bands"]["wannier_bands"], spec.n_bands)
     span = cfg["bands"]["wannier_span"] * math.pi
-    x = np.linspace(-span, span, int(cfg["bands"]["wannier_points"]))
+    x = np.linspace(-span, span, cfg["bands"]["wannier_points"])
     cols = [x / math.pi]
     for n in range(nw):
         cols.append(np.real(wannier(spec, n)(x)))
@@ -116,16 +118,16 @@ def cmd_fcf(cfg: dict, out: Path, rng) -> dict:
     atom = cesium()
     geom = _geometry(cfg)
     sol = cfg["solver"]
-    n_max, n_bands = int(sol["n_max"]), int(cfg["fcf"]["bands"])
+    n_max, n_bands = sol["n_max"], cfg["fcf"]["bands"]
     if n_max + 1 < max(n_bands, 4):
         raise ValueError(
             f"fcf.bands = {n_bands} and the harmonic oracle's 4 levels need "
             f"solver.n_max >= {max(n_bands, 4) - 1}, got {n_max}")
     spec = solve_bands(geom.depth_up, n_bands=n_max + 1,
-                       k_points=int(sol["k_points"]), q_cutoff=_q_cutoff(cfg))
+                       k_points=sol["k_points"], q_cutoff=_q_cutoff(cfg))
     d_nm = geom.spacing
     shifts_nm = np.linspace(0.0, cfg["fcf"]["max_shift_nm"],
-                            int(cfg["fcf"]["n_shifts"]))
+                            cfg["fcf"]["n_shifts"])
     curves = np.empty((shifts_nm.size, n_bands))
     for i, s in enumerate(shifts_nm):
         table = fcf_exact(spec, spec, s / d_nm)
@@ -152,14 +154,14 @@ def cmd_spectrum(cfg: dict, out: Path, rng) -> dict:
     atom = cesium()
     sp = cfg["spectrum"]
     scfg = SpectroscopyConfig(
-        n_max=int(cfg["solver"]["n_max"]), k_points=int(cfg["solver"]["k_points"]),
-        q_cutoff=_q_cutoff(cfg), thermal_samples=int(sp["thermal_samples"]),
+        n_max=cfg["solver"]["n_max"], k_points=cfg["solver"]["k_points"],
+        q_cutoff=_q_cutoff(cfg), thermal_samples=sp["thermal_samples"],
         dt=sp["time_step_s"])
     pulse = gaussian_pi_pulse(sp["pulse_fwhm_us"] * 1e-6)
     detunings = 2 * math.pi * 1e3 * np.linspace(
-        sp["detuning_min_khz"], sp["detuning_max_khz"], int(sp["n_detunings"]))
+        sp["detuning_min_khz"], sp["detuning_max_khz"], sp["n_detunings"])
     cols, headers, meta = [detunings / (2 * math.pi * 1e3)], ["detuning_khz"], {}
-    atoms = int(sp["atoms_per_point"])
+    atoms = sp["atoms_per_point"]
     angles = sp["polarization_angles"]
     geoms = [_geometry(cfg, angle=angle) for angle in angles]
     results = simulate_spectra(geoms, atom, pulse, detunings,
@@ -199,13 +201,12 @@ def cmd_fit(cfg: dict, out: Path, rng) -> dict:
                 f"finite number in data row {bad[0] + 1}")
     detunings = 2 * math.pi * 1e3 * np.asarray(raw["detuning_khz"], dtype=float)
     observed = np.asarray(raw[names[1]], dtype=float)
-    atoms = int(ft["atoms_per_point"])
+    atoms = ft["atoms_per_point"]
     sigma = binomial_sigma(np.round(observed * atoms), atoms)
 
     scfg = SpectroscopyConfig(
-        n_max=int(ft["n_max"]), k_points=int(ft["k_points"]),
-        q_cutoff=_q_cutoff(cfg), thermal_samples=int(ft["thermal_samples"]),
-        dt=ft["time_step_s"])
+        n_max=ft["n_max"], k_points=ft["k_points"], dt=ft["time_step_s"],
+        q_cutoff=_q_cutoff(cfg), thermal_samples=ft["thermal_samples"])
     pulse = gaussian_pi_pulse(ft["pulse_fwhm_us"] * 1e-6)
     result = fit_spectrum(detunings, observed, sigma, dict(ft["guess"]),
                           w_up=cfg["lattice"]["depth_up"], atom=atom,
@@ -234,7 +235,7 @@ def _cooling_params(cfg: dict) -> cooling.CoolingParams:
         eta_x=cl["eta_x"], eta_k=cl["eta_k"],
         r_down=2 * math.pi * 1e3 * cl["pump_down_khz"],
         r_aux=2 * math.pi * 1e3 * cl["pump_aux_khz"],
-        r_up=2 * math.pi * 1e3 * cl["pump_up_khz"], n_max=int(cl["n_max"]))
+        r_up=2 * math.pi * 1e3 * cl["pump_up_khz"], n_max=cl["n_max"])
 
 
 def cmd_cool(cfg: dict, out: Path, rng) -> dict:
@@ -265,11 +266,9 @@ def cmd_cool(cfg: dict, out: Path, rng) -> dict:
 def cmd_coolmap(cfg: dict, out: Path, rng) -> dict:
     params = _cooling_params(cfg)
     cm = cfg["coolmap"]
-    eta_grid = np.linspace(cm["eta_x_min"], cm["eta_x_max"],
-                           int(cm["eta_x_points"]))
+    eta_grid = np.linspace(cm["eta_x_min"], cm["eta_x_max"], cm["eta_x_points"])
     omega_grid = 2 * math.pi * 1e3 * np.linspace(
-        cm["coupling_min_khz"], cm["coupling_max_khz"],
-        int(cm["coupling_points"]))
+        cm["coupling_min_khz"], cm["coupling_max_khz"], cm["coupling_points"])
     result = cooling.cooling_map(params, eta_grid, omega_grid)
     ii, jj = np.meshgrid(np.arange(eta_grid.size), np.arange(omega_grid.size),
                          indexing="ij")
@@ -291,8 +290,7 @@ def cmd_engineer(cfg: dict, out: Path, rng) -> dict:
     geom = _geometry(cfg)
     eng = cfg["engineer"]
     omega_vib = trap_frequency(geom.depth_up, atom, geom.lattice_wavelength)
-    model = engineering.HarmonicModel(omega_vib=omega_vib,
-                                      n_max=int(eng["n_max"]))
+    model = engineering.HarmonicModel(omega_vib=omega_vib, n_max=eng["n_max"])
     task = eng["task"]
     if task == "superposition":
         areas = np.asarray(eng["pulse_areas"], dtype=float)
@@ -306,7 +304,7 @@ def cmd_engineer(cfg: dict, out: Path, rng) -> dict:
         return {"task": task,
                 "expected_p2": [math.sin(a * math.pi / 2) ** 2 for a in areas]}
     if task == "fock":
-        m = int(eng["fock_m"])
+        m = eng["fock_m"]
         state, fidelity = engineering.prepare_fock(model, m)
         _write_csv(out / "engineer.csv", ["n", "p_down"],
                    [np.arange(model.n_max + 1), state.populations("down")])
@@ -326,18 +324,17 @@ def cmd_engineer(cfg: dict, out: Path, rng) -> dict:
 def cmd_filter(cfg: dict, out: Path, rng) -> dict:
     fl = cfg["filter"]
     f = fl["single_pass_efficiency"]
-    reps = int(fl["repetitions"])
+    reps = fl["repetitions"]
     f_prime = engineering.effective_efficiency(f, reps)
-    dist = engineering.PopulationDistribution.thermal(fl["n_bar"],
-                                                      int(fl["n_max"]))
+    dist = engineering.PopulationDistribution.thermal(fl["n_bar"], fl["n_max"])
     loss = fl["loss_per_repetition"]
-    n_plateaus = int(fl["n_max"]) + 2
+    n_plateaus = fl["n_max"] + 2
     plateaus = np.array([
         engineering.filter_survival(dist, n, f, reps, loss_per_pass=loss)
         for n in range(n_plateaus)])
     headers = ["n", "survival"]
     cols = [np.arange(n_plateaus), plateaus]
-    atoms = int(fl["atoms"])
+    atoms = fl["atoms"]
     used = plateaus
     if atoms > 0:
         used = rng.binomial(atoms, np.clip(plateaus, 0, 1)) / atoms

@@ -128,7 +128,9 @@ def _validate(user, default, path):
     if isinstance(default, (int, float)):
         if not _number(user):
             raise ConfigError(f"'{loc}' must be a finite number")
-        return type(default)(user) if isinstance(default, float) else user
+        if isinstance(default, int) and user != int(user):
+            raise ConfigError(f"'{loc}' must be an integer")
+        return type(default)(user)
     if isinstance(default, str):
         if not isinstance(user, str):
             raise ConfigError(f"'{loc}' must be a string")

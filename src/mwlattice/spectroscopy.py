@@ -12,8 +12,8 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import threading
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,6 +218,9 @@ STACK_BLOCK = 1 << 15
 # blocks; eight systems took 0.120 s as one block and 0.069 s as two.
 THREAD_BLOCK = 6000
 
+# Most Strang steps of one block: 40x the default spectrum's 25k.
+STRANG_STEPS = 1 << 20
+
 
 def worker_count(cores: int, env: Mapping[str, str]) -> int:
     """Threads that propagate the blocks of a stack at once.
@@ -314,6 +317,9 @@ def _blocks(diag: np.ndarray, pulse: PulseSpec, dt: float | None,
     blocks = []
     for start, stop, step in runs:
         n_steps = max(1, int(math.ceil(pulse.support / step)))
+        if n_steps > STRANG_STEPS:
+            raise RuntimeError(f"{pulse}: {n_steps} Strang steps of "
+                               f"{step:.3g} s, above {STRANG_STEPS}")
         n = stop - start
         n_blocks = max(-(-n // per_block), min(WORKERS, n // fewest))
         for part in np.array_split(np.arange(start, stop), n_blocks):
@@ -341,13 +347,14 @@ def _strang(fc: np.ndarray, diag: np.ndarray, psi: np.ndarray,
     The stack runs in blocks of systems at one step, each through the whole
     pulse: at most ``STACK_BLOCK`` amplitudes each, and split into as many
     blocks as ``WORKERS`` while each keeps ``THREAD_BLOCK``.  The calling
-    thread runs one share of the blocks and ``WORKERS - 1`` helper threads
-    the others, in buffers the calling thread allocates; numpy releases
-    the GIL in the GEMMs and ufuncs that do the work.  A system's
-    arithmetic does not depend on its block, so the states are the same
-    for any number of workers.  An exception in any block reaches the
-    caller.  A state whose norm moves by more than ``NORM_DRIFT_BOUND``
-    (relative) raises ``RuntimeError``.
+    thread runs one share of the blocks, and a helper thread each other
+    share until the calling thread's is done, in buffers the calling thread
+    allocates (a helper's would stay in its malloc arena); numpy releases
+    the GIL in the GEMMs and ufuncs that do the work.  The states do not
+    depend on the number of workers: a system's arithmetic does not depend
+    on its block.  An exception in any block reaches the caller.  More than
+    ``STRANG_STEPS`` steps in a block, or a norm that moves by more than
+    ``NORM_DRIFT_BOUND`` (relative), raises ``RuntimeError``.
     """
     # Subtract the per-column mean: a constant on the diagonal is a global
     # phase and only the spread limits the split-step accuracy.
@@ -375,16 +382,28 @@ def _strang(fc: np.ndarray, diag: np.ndarray, psi: np.ndarray,
             _strang_steps(sigma[b], modes[b], diag[b], psi[b], pulse, step,
                           n_steps, *(buf[:k] for buf in bufs))
 
-    bufs = [buffers(share) for share in shares]
-    if n_workers == 1:
-        run(shares[0], bufs[0])
-    else:
-        with ThreadPoolExecutor(n_workers - 1) as pool:
-            helpers = [pool.submit(run, share, buf)
-                       for share, buf in zip(shares[1:], bufs[1:])]
-            run(shares[0], bufs[0])
-            for helper in helpers:
-                helper.result()
+    done, errors = threading.Event(), []
+
+    def helper(share, bufs):
+        try:
+            run(share, bufs)
+        except BaseException as exc:
+            errors.append(exc)
+        done.wait()
+
+    helpers = [threading.Thread(target=helper, args=(share, buffers(share)))
+               for share in shares[1:]]
+    try:
+        for thread in helpers:
+            thread.start()
+        run(shares[0], buffers(shares[0]))
+    finally:
+        done.set()
+        for thread in helpers:
+            if thread.ident is not None:        # started
+                thread.join()
+    if errors:
+        raise errors[0]
     _check_norm(psi, norm0)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -226,3 +227,39 @@ def test_wannier_deep_lattice_on_projection_grid(site):
                               for part in np.array_split(x, 8)])
         assert np.abs(w(x) - ref).max() < 1e-13
     assert w(np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("depth", [0.0, 3.0, 850.0, 8000.0])
+@pytest.mark.parametrize("k_points", [8, 9, 15, 16])
+def test_band_coefficients_are_the_full_array_bit_for_bit(depth, k_points):
+    spec = solve_bands(depth, n_bands=12, k_points=k_points)
+    full = spec.coefficients
+    assert full.shape == (k_points, 12, 2 * spec.q_cutoff + 1)
+    assert full.flags["C_CONTIGUOUS"]   # einsum sums in layout order
+    for n in range(12):
+        band = spec.band_coefficients(n)
+        assert band.dtype == full.dtype and band.flags["C_CONTIGUOUS"]
+        assert band.tobytes() == full[:, n, :].tobytes()
+
+
+@pytest.mark.parametrize("depth, n_bands, k_points, q_cutoff", [
+    (850.0, 14, 16, 67),                # the fit's bands
+    (850.0, 16, 32, None),              # the spectrum's default bands
+    (850.0, 4, 15, None),
+])
+def test_spectrum_keeps_the_real_k_ge_0_vectors_only(depth, n_bands,
+                                                     k_points, q_cutoff):
+    spec = solve_bands(depth, n_bands=n_bands, k_points=k_points,
+                       q_cutoff=q_cutoff)
+    half = -(-k_points // 2)
+    n_q = 2 * spec.q_cutoff + 1
+    arrays = [getattr(spec, f.name) for f in dataclasses.fields(spec)]
+    stored = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    assert stored <= (half * n_bands * n_q * 8 + spec.energies.nbytes
+                      + spec.k_grid.nbytes)
+    assert spec.vectors.shape == (half, n_bands, n_q)
+    assert spec.vectors.dtype == np.float64
+    for j, k in enumerate(spec.k_grid[k_points // 2:]):
+        vals, vecs = bands._solve_single_k(k, depth, n_bands, spec.q_cutoff)
+        assert np.array_equal(spec.vectors[j], vecs)
+        assert np.array_equal(spec.energies[k_points // 2 + j], vals)

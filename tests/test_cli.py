@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,58 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, text,
     assert not (tmp_path / f"{command}.json").exists()
 
 
+@pytest.mark.parametrize("command, block, key, kind", [
+    ("bands", {"solver": {"n_max": 2.5}}, "solver.n_max", "an integer"),
+    ("spectrum", {"spectrum": {"thermal_samples": 2.7}},
+     "spectrum.thermal_samples", "an integer"),
+    ("filter", {"filter": {"atoms": -0.5}}, "filter.atoms", "an integer"),
+    ("bands", {"solver": {"q_cutoff": 20.5}}, "solver.q_cutoff",
+     "an integer or null"),
+])
+def test_integer_keys_reject_fractions(tmp_path, capsys, command, block, key,
+                                       kind):
+    # these used to be truncated: n_max 2.5 ran the bands at n_max 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(block))
+    assert run_cli([command, "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 2
+    assert f"'{key}' must be {kind}" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
+def test_integer_keys_take_integral_floats_as_ints(tmp_path):
+    cfg = resolve({"solver": {"n_max": 2.0, "k_points": 8.0},
+                   "spectrum": {"thermal_samples": 3.0}})
+    for value in (cfg["solver"]["n_max"], cfg["solver"]["k_points"],
+                  cfg["spectrum"]["thermal_samples"]):
+        assert type(value) is int
+    outputs = {}
+    for name, n_max, q_cutoff in (("floats", 2.0, 16.0), ("ints", 2, 16)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"solver": {"n_max": n_max, "k_points": 8,
+                                               "q_cutoff": q_cutoff}}))
+        assert run_cli(["bands", "--config", str(path),
+                        "--out", str(tmp_path / name)]) == 0
+        outputs[name] = [(tmp_path / name / f).read_bytes()
+                         for f in ("bands.csv", "wannier.csv")]
+        meta = json.loads((tmp_path / name / "bands.json").read_text())
+        assert meta["results"]["n_bands"] == 3
+    assert outputs["floats"] == outputs["ints"]
+
+
+def test_spectrum_past_the_strang_step_cap_exits_3(tmp_path, capsys):
+    # a 1 s pulse at the automatic step needs about 9e8 steps on the
+    # default grid; without the cap this ran for days
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spectrum": {"pulse_fwhm_us": 1e6}}))
+    start = time.perf_counter()
+    assert run_cli(["spectrum", "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 3
+    assert time.perf_counter() - start < 60.0
+    assert "Strang steps of" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.json").exists()
+
+
 def test_midpoint_at_its_step_cap_exits_3(tmp_path, monkeypatch, capsys):
     from mwlattice import spectroscopy
     monkeypatch.setattr(spectroscopy, "MIDPOINT_STEPS", (64, 256))
@@ -342,6 +395,35 @@ def test_fit_input_that_is_not_a_finite_number_exits_2(tmp_path, capsys,
     assert str(data) in err and f"'{column}'" in err
     assert f"data row {row}" in err
     assert not (tmp_path / "fit.json").exists()
+
+
+def test_band_cache_counts_of_the_three_angle_fit(tmp_path):
+    # the noiseless three-angle spectrum (n_max 13, k 16, two nodes, 120
+    # detunings) and the fit of its first column; how spectra are stored
+    # changes neither the cache's keys nor its hits and misses
+    from mwlattice import bands
+    window = {"pulse_fwhm_us": 100.0, "thermal_samples": 2,
+              "time_step_s": 3e-7}
+    spectrum = dict(window, polarization_angles=[1.3167, 0.3538, 0.8770],
+                    detuning_min_khz=-1384.1, detuning_max_khz=-135.8,
+                    n_detunings=120, atoms_per_point=0)
+    fit = dict(window, input_csv=str(tmp_path / "spectrum.csv"), n_max=13,
+               k_points=16, atoms_per_point=200,
+               guess={"dx": 0.41, "w_down": 650.0, "du_tot": -99.0,
+                      "t2d": 1.01e-5})
+    runs = [("spectrum", {"solver": {"n_max": 13, "k_points": 16},
+                          "spectrum": spectrum}),
+            ("fit", {"fit": fit})]
+    counts = []
+    for command, block in runs:
+        cfg = tmp_path / f"{command}_cfg.json"
+        cfg.write_text(json.dumps(block))
+        bands._cached_bands.cache_clear()
+        assert run_cli([command, "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 0
+        info = bands._cached_bands.cache_info()
+        counts.append((info.hits, info.misses, info.currsize))
+    assert counts == [(4, 8, 8), (100, 100, 64)]
 
 
 @pytest.mark.parametrize("time_step_s, atoms", [(None, 50), (None, 0),

@@ -586,6 +586,31 @@ def test_midpoint_raises_at_its_step_cap(monkeypatch):
         identity_unitary(system, pulse)
 
 
+def test_grid_blocks_raise_past_the_strang_step_cap():
+    # a 1 s Gaussian (spectrum.pulse_fwhm_us 1e6) over a diagonal spread
+    # of +-1e7 rad/s: 800,000,237 steps of 5 ns at the automatic step
+    diag = np.linspace(-1e7, 1e7, 32)[None, :, None]
+    pulse = gaussian_pi_pulse(1.0)
+    with pytest.raises(RuntimeError, match=r"PulseSpec\(envelope='gaussian'"
+                       r".*: 800000237 Strang steps of 5e-09 s, above "
+                       r"1048576"):
+        spectroscopy._blocks(diag, pulse, None, None, 1)
+    with pytest.raises(RuntimeError, match="40000000 Strang steps"):
+        spectroscopy._blocks(diag, pulse, 1e-7, None, 1)
+
+
+def test_strang_step_cap_is_inclusive(monkeypatch):
+    diag = np.linspace(-1e6, 1e6, 8)[None, :, None]
+    pulse = gaussian_pi_pulse(30e-6)
+    (_, _, n_steps), = spectroscopy._blocks(diag, pulse, None, None, 1)
+    monkeypatch.setattr(spectroscopy, "STRANG_STEPS", n_steps)
+    assert spectroscopy._blocks(diag, pulse, None, None, 1)[0][2] == n_steps
+    monkeypatch.setattr(spectroscopy, "STRANG_STEPS", n_steps - 1)
+    with pytest.raises(RuntimeError, match=f"{n_steps} Strang steps"):
+        _strang(np.eye(4)[None], diag.copy(),
+                np.eye(8, dtype=complex)[None, :, :1].copy(), pulse, None)
+
+
 @pytest.mark.parametrize("field", ["peak_rabi", "detuning", "fwhm",
                                    "duration", "sweep"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
