@@ -128,10 +128,8 @@ def cmd_fcf(cfg: dict, out: Path, rng) -> dict:
     d_nm = geom.spacing
     shifts_nm = np.linspace(0.0, cfg["fcf"]["max_shift_nm"],
                             cfg["fcf"]["n_shifts"])
-    curves = np.empty((shifts_nm.size, n_bands))
-    for i, s in enumerate(shifts_nm):
-        table = fcf_exact(spec, spec, s / d_nm)
-        curves[i] = table.matrix[:n_bands, 0]
+    curves = np.array([fcf_exact(spec, spec, s / d_nm).matrix[:n_bands, 0]
+                       for s in shifts_nm])
     _write_csv(out / "fcf.csv",
                ["shift_nm"] + [f"I_0_{n}" for n in range(n_bands)],
                [shifts_nm] + [curves[:, n] for n in range(n_bands)])
@@ -162,6 +160,8 @@ def cmd_spectrum(cfg: dict, out: Path, rng) -> dict:
         sp["detuning_min_khz"], sp["detuning_max_khz"], sp["n_detunings"])
     cols, headers, meta = [detunings / (2 * math.pi * 1e3)], ["detuning_khz"], {}
     atoms = sp["atoms_per_point"]
+    if atoms < 0:
+        raise ConfigError("'spectrum.atoms_per_point' must be >= 0")
     angles = sp["polarization_angles"]
     geoms = [_geometry(cfg, angle=angle) for angle in angles]
     results = simulate_spectra(geoms, atom, pulse, detunings,
@@ -188,6 +188,9 @@ def cmd_fit(cfg: dict, out: Path, rng) -> dict:
     ft = cfg["fit"]
     if not ft["input_csv"]:
         raise ConfigError("'fit.input_csv' is required")
+    atoms = ft["atoms_per_point"]
+    if atoms < 1:
+        raise ConfigError("'fit.atoms_per_point' must be >= 1")
     raw = np.genfromtxt(ft["input_csv"], delimiter=",", names=True,
                         deletechars="")
     names = raw.dtype.names
@@ -201,7 +204,6 @@ def cmd_fit(cfg: dict, out: Path, rng) -> dict:
                 f"finite number in data row {bad[0] + 1}")
     detunings = 2 * math.pi * 1e3 * np.asarray(raw["detuning_khz"], dtype=float)
     observed = np.asarray(raw[names[1]], dtype=float)
-    atoms = ft["atoms_per_point"]
     sigma = binomial_sigma(np.round(observed * atoms), atoms)
 
     scfg = SpectroscopyConfig(

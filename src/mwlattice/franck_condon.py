@@ -43,8 +43,9 @@ def fcf_exact(spec_bra: BlochSpectrum, spec_ket: BlochSpectrum,
     disp = (shift + site_offset) * math.pi
     phase = np.exp(-1j * kappa * disp)                 # T_dx diagonal element
     # I[n', n] = (1/N_k) sum_{k,q} conj(a^bra_{n',q}) phase a^ket_{n,q}
-    bra = np.conj(spec_bra.coefficients)               # (N_k, n', N_q)
-    ket = spec_ket.coefficients * phase[:, None, :]    # (N_k, n, N_q)
+    coef = spec_ket.coefficients       # (N_k, n, N_q), derived on each read
+    bra = np.conj(coef if spec_bra is spec_ket else spec_bra.coefficients)
+    ket = coef * phase[:, None, :]
     table = np.einsum("kmq,knq->mn", bra, ket) / kappa.shape[0]
     imag_max = float(np.abs(table.imag).max())
     if imag_max > 1e-8:

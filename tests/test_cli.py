@@ -397,9 +397,34 @@ def test_fit_input_that_is_not_a_finite_number_exits_2(tmp_path, capsys,
     assert not (tmp_path / "fit.json").exists()
 
 
+@pytest.mark.parametrize("command, key, atoms, bound", [
+    ("fit", "fit.atoms_per_point", 0, ">= 1"),
+    ("fit", "fit.atoms_per_point", -3, ">= 1"),
+    ("spectrum", "spectrum.atoms_per_point", -1, ">= 0"),
+])
+def test_atom_counts_below_their_bound_exit_2(tmp_path, capsys, command, key,
+                                              atoms, bound):
+    # a fit's binomial errors need one atom a point (0 divided by zero, a
+    # negative count gave non-finite residuals); a spectrum's draws need a
+    # count >= 0 (0 is noiseless, a negative count was taken as 0)
+    data = tmp_path / "data.csv"
+    data.write_text("detuning_khz,p\n-400,0.1\n-200,0.5\n0,0.2\n")
+    block = ({"fit": dict(TINY_FIT, input_csv=str(data),
+                          atoms_per_point=atoms)}
+             if command == "fit" else
+             {"spectrum": {"n_detunings": 3, "atoms_per_point": atoms}})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(block))
+    assert run_cli([command, "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 2
+    assert f"'{key}' must be {bound}" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
 def test_band_cache_counts_of_the_three_angle_fit(tmp_path):
     # the noiseless three-angle spectrum (n_max 13, k 16, two nodes, 120
-    # detunings) and the fit of its first column; how spectra are stored
+    # detunings) and the fit of its first column (8 objective calls and 8
+    # Jacobians at scipy's default tolerances); how spectra are stored
     # changes neither the cache's keys nor its hits and misses
     from mwlattice import bands
     window = {"pulse_fwhm_us": 100.0, "thermal_samples": 2,
@@ -423,7 +448,7 @@ def test_band_cache_counts_of_the_three_angle_fit(tmp_path):
                         "--out", str(tmp_path)]) == 0
         info = bands._cached_bands.cache_info()
         counts.append((info.hits, info.misses, info.currsize))
-    assert counts == [(4, 8, 8), (100, 100, 64)]
+    assert counts == [(4, 8, 8), (80, 80, 64)]
 
 
 @pytest.mark.parametrize("time_step_s, atoms", [(None, 50), (None, 0),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre
 
-from mwlattice.bands import cached_bands, wannier
+from mwlattice.bands import BlochSpectrum, cached_bands, wannier
 from mwlattice.franck_condon import (displacement_element, fcf_exact,
                                      fcf_harmonic, fcf_harmonic_matrix,
                                      fcf_quadrature)
@@ -26,6 +27,35 @@ def test_exact_vs_quadrature_oracle():
         for npr in range(4):
             q = fcf_quadrature(wannier(SPEC, npr), wannier(SPEC, n), shift)
             assert table.matrix[npr, n] == pytest.approx(q, abs=1e-6)
+
+
+@pytest.mark.parametrize("shift, site_offset", [(0.0, 0), (0.1, 0),
+                                                (0.37, 1)])
+def test_one_spectrum_derives_its_coefficients_once(monkeypatch, shift,
+                                                    site_offset):
+    # (spec, spec) reads spec.coefficients once; its table is bit for bit
+    # that of spec against a distinct spectrum with the same arrays
+    reads = []
+    derive = BlochSpectrum.coefficients.fget
+    monkeypatch.setattr(BlochSpectrum, "coefficients", property(
+        lambda spec: reads.append(spec) or derive(spec)))
+    same = fcf_exact(SPEC, SPEC, shift, site_offset).matrix
+    assert len(reads) == 1
+    copy = fcf_exact(SPEC, dataclasses.replace(SPEC), shift,
+                     site_offset).matrix
+    assert len(reads) == 3
+    assert same.tobytes() == copy.tobytes()
+
+
+def test_one_spectrum_keeps_the_imaginary_part_check(monkeypatch):
+    # a band phase off the convention makes the table complex, also when
+    # bra and ket are one spectrum
+    derive = BlochSpectrum.coefficients.fget
+    twist = np.exp(0.3j * np.arange(SPEC.n_bands))[:, None]
+    monkeypatch.setattr(BlochSpectrum, "coefficients", property(
+        lambda spec: derive(spec) * twist))
+    with pytest.raises(RuntimeError, match="phase convention violated"):
+        fcf_exact(SPEC, SPEC, 0.1)
 
 
 def test_neighbor_site_overlap_negligible_deep_lattice():

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 from scipy.optimize._numdiff import approx_derivative
 from scipy.special import roots_laguerre
 
@@ -678,3 +679,26 @@ def test_noiseless_fit_reports_unscaled_covariance():
     assert fit.cost < 1e-12
     got = np.array([fit.stderr[k] for k in FIT_NAMES])
     assert np.allclose(got, want, rtol=1e-4, atol=0.0)
+
+
+@pytest.mark.parametrize("atoms", [0, 200])
+def test_default_tolerances_stop_within_a_thousandth_of_a_stderr(atoms):
+    # fit_spectrum stops at scipy's default xtol = ftol = gtol = 1e-8; the
+    # same problem run to 1e-12 moves no parameter by 1e-3 of its stderr,
+    # on the noiseless spectrum and on one with binomial noise
+    args, _ = small_fit_problem(12e-6)
+    detunings, observed, sigma = args[:3]
+    if atoms:
+        rng = np.random.default_rng(21)
+        counts = rng.binomial(atoms, np.clip(observed, 0.0, 1.0))
+        observed, sigma = counts / atoms, binomial_sigma(counts, atoms)
+        args = (detunings, observed, sigma) + args[3:]
+    fit = fit_spectrum(*args)
+    residuals, stacked, z0, lower, scale = _fit_problem(*args)
+    tight = least_squares(residuals, z0, diff_step=spectroscopy.DIFF_STEP,
+                          workers=stacked, bounds=(lower, np.inf),
+                          xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=200)
+    assert fit.success and tight.status > 0
+    assert fit.diagnostics["nfev"] <= tight.nfev
+    for name, want in zip(FIT_NAMES, tight.x * scale):
+        assert abs(fit.params[name] - want) <= 1e-3 * fit.stderr[name]
