@@ -119,6 +119,9 @@ def cmd_fcf(cfg: dict, out: Path, rng) -> dict:
     geom = _geometry(cfg)
     sol = cfg["solver"]
     n_max, n_bands = sol["n_max"], cfg["fcf"]["bands"]
+    for key in ("bands", "n_shifts"):
+        if cfg["fcf"][key] < 1:
+            raise ConfigError(f"'fcf.{key}' must be >= 1")
     if n_max + 1 < max(n_bands, 4):
         raise ValueError(
             f"fcf.bands = {n_bands} and the harmonic oracle's 4 levels need "
@@ -337,6 +340,8 @@ def cmd_filter(cfg: dict, out: Path, rng) -> dict:
     headers = ["n", "survival"]
     cols = [np.arange(n_plateaus), plateaus]
     atoms = fl["atoms"]
+    if atoms < 0:
+        raise ConfigError("'filter.atoms' must be >= 0")
     used = plateaus
     if atoms > 0:
         used = rng.binomial(atoms, np.clip(plateaus, 0, 1)) / atoms

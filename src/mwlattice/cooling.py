@@ -144,9 +144,6 @@ def emission_average_overlap_sq(eta_x: float, eta_k: float,
     uniform on [-1, 1] (isotropic emission).  Gauss-Legendre quadrature
     on ``EMISSION_NODES`` nodes.
     """
-    if eta_k == 0.0:
-        m = fcf_harmonic_matrix(complex(eta_x, 0.0), n_max)
-        return np.abs(m) ** 2
     u, w = np.polynomial.legendre.leggauss(EMISSION_NODES)
     w = w / w.sum()
     out = np.zeros((n_max + 1, n_max + 1))
@@ -434,13 +431,12 @@ def evolve(params: CoolingParams, rho0: np.ndarray, duration: float,
     return DensityMatrix(rho, params.n_max)
 
 
-def thermal_state(params: CoolingParams, n_bar: float,
-                  spin: int = SPIN_UP) -> np.ndarray:
+def thermal_state(params: CoolingParams, n_bar: float) -> np.ndarray:
     """Density matrix of ``thermal_populations`` at ratio n_bar / (n_bar + 1)
-    in one spin state; n_bar <= 0 gives the motional ground state."""
+    in the up spin; n_bar <= 0 gives the motional ground state."""
     ratio = n_bar / (n_bar + 1.0) if n_bar > 0 else 0.0
     rho = np.zeros((params.dim, params.dim), dtype=complex)
-    idx = spin * params.levels + np.arange(params.levels)
+    idx = SPIN_UP * params.levels + np.arange(params.levels)
     rho[idx, idx] = thermal_populations(ratio, params.n_max)
     return rho
 

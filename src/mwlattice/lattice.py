@@ -136,10 +136,7 @@ def potentials_from_angle(geom: LatticeGeometry
     # Well centers in units of d (k_L d = pi).  The up lattice center moves
     # linearly with theta; the down center picks up the arctan correction.
     x_up = theta / (2 * math.pi)
-    if theta >= math.pi / 2 - 1e-12:
-        phi = math.pi / 2  # analytic limit of arctan[(wm-wp) tan(theta)]
-    else:
-        phi = math.atan((wm - wp) * math.tan(theta))
+    phi = math.atan((wm - wp) * math.tan(theta))    # pi/2 at theta = pi/2
     x_down = -phi / (2 * math.pi)
     dx = x_up - x_down
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import cmath
 import math
 import os
-import threading
 from collections.abc import Mapping, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -347,12 +347,13 @@ def _strang(fc: np.ndarray, diag: np.ndarray, psi: np.ndarray,
     The stack runs in blocks of systems at one step, each through the whole
     pulse: at most ``STACK_BLOCK`` amplitudes each, and split into as many
     blocks as ``WORKERS`` while each keeps ``THREAD_BLOCK``.  The calling
-    thread runs one share of the blocks, and a helper thread each other
-    share until the calling thread's is done, in buffers the calling thread
-    allocates (a helper's would stay in its malloc arena); numpy releases
-    the GIL in the GEMMs and ufuncs that do the work.  The states do not
-    depend on the number of workers: a system's arithmetic does not depend
-    on its block.  An exception in any block reaches the caller.  More than
+    thread runs one share of the blocks, and each other share runs on its
+    own one-thread executor, in buffers the calling thread allocates (a
+    helper's would stay in its malloc arena); numpy releases the GIL in
+    the GEMMs and ufuncs that do the work.  The states do not depend on
+    the number of workers: a system's arithmetic does not depend on its
+    block.  An exception in any block reaches the caller, and every helper
+    is joined before ``_strang`` returns or raises.  More than
     ``STRANG_STEPS`` steps in a block, or a norm that moves by more than
     ``NORM_DRIFT_BOUND`` (relative), raises ``RuntimeError``.
     """
@@ -382,28 +383,16 @@ def _strang(fc: np.ndarray, diag: np.ndarray, psi: np.ndarray,
             _strang_steps(sigma[b], modes[b], diag[b], psi[b], pulse, step,
                           n_steps, *(buf[:k] for buf in bufs))
 
-    done, errors = threading.Event(), []
-
-    def helper(share, bufs):
-        try:
-            run(share, bufs)
-        except BaseException as exc:
-            errors.append(exc)
-        done.wait()
-
-    helpers = [threading.Thread(target=helper, args=(share, buffers(share)))
-               for share in shares[1:]]
+    pools = [ThreadPoolExecutor(max_workers=1) for _ in shares[1:]]
     try:
-        for thread in helpers:
-            thread.start()
+        futures = [pool.submit(run, share, buffers(share))
+                   for pool, share in zip(pools, shares[1:])]
         run(shares[0], buffers(shares[0]))
+        for future in futures:
+            future.result()
     finally:
-        done.set()
-        for thread in helpers:
-            if thread.ident is not None:        # started
-                thread.join()
-    if errors:
-        raise errors[0]
+        for pool in pools:
+            pool.shutdown()
     _check_norm(psi, norm0)
 
 
@@ -657,7 +646,7 @@ def _thermal_systems(w_up: float, w_down: float, u_down_tot: float,
     up-spin trap frequency; 0 at T <= 0), is one entry weighted by node
     weight times population.
     """
-    q_cut = cfg.q_cutoff or default_q_cutoff(w_up)
+    q_cut = default_q_cutoff(w_up) if cfg.q_cutoff is None else cfg.q_cutoff
     if t2d > 0.0:
         u, w = roots_laguerre(cfg.thermal_samples)
         w_joule = w_up * recoil_energy(atom, lattice_wavelength)
@@ -695,17 +684,13 @@ def _stacked_transfers(groups: list[list[tuple[SidebandSystem, int, float]]],
     for s, (system, n0, _) in enumerate(entries):
         diag[s] = system.diagonal(detunings)
         psi[s, n0] = 1.0
+    sizes = [len(group) for group in groups]
     _strang(np.array([e[0].fc_matrix for e in entries]), diag, psi, pulse,
-            dt, [len(group) for group in groups])
+            dt, sizes)
     down = np.sum(np.abs(psi[:, dim // 2:]) ** 2, axis=1)       # (S, Nd)
-    out, s = [], 0
-    for group in groups:
-        transfer = np.zeros(detunings.size)
-        for _, _, weight in group:
-            transfer += weight * down[s]
-            s += 1
-        out.append(transfer)
-    return out
+    weighted = np.array([e[2] for e in entries])[:, None] * down
+    return [part.sum(axis=0)
+            for part in np.split(weighted, np.cumsum(sizes)[:-1])]
 
 
 def simulate_spectrum(geom: LatticeGeometry, atom: AtomConstants,

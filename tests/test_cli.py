@@ -401,23 +401,51 @@ def test_fit_input_that_is_not_a_finite_number_exits_2(tmp_path, capsys,
     ("fit", "fit.atoms_per_point", 0, ">= 1"),
     ("fit", "fit.atoms_per_point", -3, ">= 1"),
     ("spectrum", "spectrum.atoms_per_point", -1, ">= 0"),
+    ("filter", "filter.atoms", -5, ">= 0"),
 ])
 def test_atom_counts_below_their_bound_exit_2(tmp_path, capsys, command, key,
                                               atoms, bound):
     # a fit's binomial errors need one atom a point (0 divided by zero, a
-    # negative count gave non-finite residuals); a spectrum's draws need a
-    # count >= 0 (0 is noiseless, a negative count was taken as 0)
+    # negative count gave non-finite residuals); spectrum and filter draws
+    # need a count >= 0 (0 is exact, a negative count was taken as 0)
     data = tmp_path / "data.csv"
     data.write_text("detuning_khz,p\n-400,0.1\n-200,0.5\n0,0.2\n")
-    block = ({"fit": dict(TINY_FIT, input_csv=str(data),
-                          atoms_per_point=atoms)}
-             if command == "fit" else
-             {"spectrum": {"n_detunings": 3, "atoms_per_point": atoms}})
+    block = {"fit": {"fit": dict(TINY_FIT, input_csv=str(data),
+                                 atoms_per_point=atoms)},
+             "spectrum": {"spectrum": {"n_detunings": 3,
+                                       "atoms_per_point": atoms}},
+             "filter": {"filter": {"atoms": atoms}}}[command]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(block))
     assert run_cli([command, "--config", str(cfg),
                     "--out", str(tmp_path)]) == 2
     assert f"'{key}' must be {bound}" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize("key", ["n_shifts", "bands"])
+def test_fcf_counts_below_1_exit_2(tmp_path, capsys, key):
+    # no shifts raised an IndexError, no bands wrote a CSV of shifts only
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fcf": {key: 0}}))
+    assert run_cli(["fcf", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"'fcf.{key}' must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "fcf.json").exists()
+
+
+@pytest.mark.parametrize("command", ["bands", "fcf", "spectrum", "fit"])
+def test_zero_q_cutoff_exits_3_in_every_command(tmp_path, capsys, command):
+    # 0 is a one-plane-wave basis, never the default cutoff
+    data = tmp_path / "data.csv"
+    data.write_text("detuning_khz,p\n-400,0.1\n-200,0.5\n0,0.2\n")
+    block = dict(TINY_SPECTRUM, solver=dict(TINY_SPECTRUM["solver"],
+                                            q_cutoff=0),
+                 fit=dict(TINY_FIT, input_csv=str(data)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(block))
+    assert run_cli([command, "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 3
+    assert "n_bands exceeds plane-wave basis size" in capsys.readouterr().err
     assert not (tmp_path / f"{command}.json").exists()
 
 

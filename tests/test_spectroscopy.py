@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -479,6 +480,35 @@ def test_helper_exception_reaches_the_caller(monkeypatch):
     threads = threading.active_count()
     with pytest.raises(HelperFailure, match="block failed"):
         _strang(fc, diag, psi, pulse, 5e-7)
+    assert threading.active_count() == threads
+
+
+class CallerFailure(Exception):
+    pass
+
+
+def test_caller_exception_waits_for_the_running_helper(monkeypatch):
+    fc, diag, psi, pulse = uneven_stack("gaussian")
+    steps = spectroscopy._strang_steps
+    main = threading.get_ident()
+    helper_running = threading.Event()
+    helper_done = []
+
+    def failing(*args):
+        if threading.get_ident() == main:
+            assert helper_running.wait(10)
+            raise CallerFailure("calling thread's block failed")
+        helper_running.set()
+        time.sleep(0.2)         # still running when the caller raises
+        steps(*args)
+        helper_done.append(True)
+
+    monkeypatch.setattr(spectroscopy, "_strang_steps", failing)
+    monkeypatch.setattr(spectroscopy, "WORKERS", 2)
+    threads = threading.active_count()
+    with pytest.raises(CallerFailure, match="calling thread's block failed"):
+        _strang(fc, diag, psi, pulse, 5e-7)
+    assert helper_done == [True]        # joined before the exception left
     assert threading.active_count() == threads
 
 
