@@ -16,12 +16,13 @@ are real with parity (-1)^n about the well center.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from functools import lru_cache
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import cython_lapack
 
 
 class BandSolverError(RuntimeError):
@@ -143,13 +144,76 @@ def _powers(z: np.ndarray, n: int) -> np.ndarray:
     return p
 
 
+def _lapack(name: str):
+    """scipy's Cython LAPACK routine ``name`` as a ctypes function.
+
+    Every argument is a pointer.  A ctypes call releases the GIL, so
+    threads run the routine at once; an f2py wrapper holds it.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    signature = get_name(capsule)           # "void (char *, int *, ...)"
+    n_args = signature.count(b",") + 1
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(
+        get_pointer(capsule, signature))
+
+
+_DSTEBZ, _DSTEIN = _lapack("dstebz"), _lapack("dstein")
+
+
+def _lapack_lowest(diag: np.ndarray, off: np.ndarray, n_bands: int):
+    """Lowest ``n_bands`` eigenpairs of the symmetric tridiagonal matrix
+    with ``diag`` and ``off``: (values, vecs[n, i]).
+
+    LAPACK's dstebz (bisection by index, block order) and dstein (inverse
+    iteration), with the arguments ``eigh_tridiagonal(select="i")`` passes
+    them, then its sort: the same routines of the same library, so the same
+    bits.  A nonzero ``info`` or a count other than ``n_bands`` raises
+    ``BandSolverError``.
+    """
+    diag = np.ascontiguousarray(diag, dtype=float)
+    off = np.ascontiguousarray(off, dtype=float)
+    n = diag.size
+    if diag.ndim != 1 or off.shape != (n - 1,) or not 1 <= n_bands <= n:
+        raise ValueError(f"need diag (N,), off (N - 1,) and 1 <= n_bands <= "
+                         f"N, got {diag.shape}, {off.shape}, {n_bands}")
+    # LAPACK gets the addresses of these arrays: each stays bound to a name
+    # until the routine returns.
+    w, work = np.empty(n), np.empty(5 * n)
+    iblock, isplit = np.empty(n, np.intc), np.empty(n, np.intc)
+    iwork, ifail = np.empty(3 * n, np.intc), np.empty(n_bands, np.intc)
+    vecs = np.empty((n_bands, n))       # column-major (n, n_bands): z
+    size, m, nsplit, info = (ctypes.c_int(n), ctypes.c_int(), ctypes.c_int(),
+                             ctypes.c_int())
+    lo, hi, tol = ctypes.c_double(0.0), ctypes.c_double(1.0), ctypes.c_double()
+    first, last = ctypes.c_int(1), ctypes.c_int(n_bands)
+    ref = ctypes.byref
+    _DSTEBZ(b"I", b"B", ref(size), ref(lo), ref(hi), ref(first), ref(last),
+            ref(tol), diag.ctypes.data, off.ctypes.data, ref(m), ref(nsplit),
+            w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data,
+            work.ctypes.data, iwork.ctypes.data, ref(info))
+    if info.value or m.value != n_bands:
+        raise BandSolverError(f"dstebz: info {info.value}, {m.value} of "
+                              f"{n_bands} eigenvalues")
+    _DSTEIN(ref(size), diag.ctypes.data, off.ctypes.data, ref(m),
+            w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data,
+            vecs.ctypes.data, ref(size), work.ctypes.data, iwork.ctypes.data,
+            ifail.ctypes.data, ref(info))
+    if info.value:
+        raise BandSolverError(f"dstein: info {info.value}")
+    vals = w[:n_bands]
+    order = np.argsort(vals)
+    return vals[order], vecs[order]
+
+
 def _solve_single_k(k: float, depth: float, n_bands: int, q_cutoff: int):
     q = np.arange(-q_cutoff, q_cutoff + 1)
-    diag = (k + 2.0 * q) ** 2 + depth / 2.0
-    off = np.full(2 * q_cutoff, -depth / 4.0)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                  select_range=(0, n_bands - 1))
-    return vals, vecs.T  # vecs[n, i]
+    return _lapack_lowest((k + 2.0 * q) ** 2 + depth / 2.0,
+                          np.full(2 * q_cutoff, -depth / 4.0), n_bands)
 
 
 def _mirrored(half: np.ndarray, n_k: int) -> np.ndarray:
@@ -191,8 +255,8 @@ def solve_bands(depth: float, n_bands: int = 16, k_points: int = 64,
     ``RESIDUAL_TOL`` (or NaN) raises ``BandSolverError`` naming the band
     and k, the lowest k first.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    if not 0 <= depth < math.inf:
+        raise ValueError(f"depth must be finite and >= 0, got {depth}")
     if k_points < 1:
         raise ValueError(f"k_points must be >= 1, got {k_points}")
     if n_bands < 1:

@@ -76,6 +76,18 @@ def _geometry(cfg: dict, angle: float | None = None) -> LatticeGeometry:
     )
 
 
+def _check_counts(cfg: dict, bound: int, *keys: str) -> None:
+    """ConfigError naming the first of ``keys`` ("section.name") whose value
+    is below ``bound``, or is an empty list."""
+    for key in keys:
+        section, name = key.split(".")
+        value = cfg[section][name]
+        if isinstance(value, list) and not value:
+            raise ConfigError(f"'{key}' must be a non-empty list")
+        if not isinstance(value, list) and value < bound:
+            raise ConfigError(f"'{key}' must be >= {bound}")
+
+
 def _q_cutoff(cfg: dict) -> int | None:
     q = cfg["solver"]["q_cutoff"]
     if q is not None and q != int(q):
@@ -88,6 +100,7 @@ def _q_cutoff(cfg: dict) -> int | None:
 
 
 def cmd_bands(cfg: dict, out: Path, rng) -> dict:
+    _check_counts(cfg, 1, "bands.wannier_points")
     sol = cfg["solver"]
     depth = cfg["bands"]["depth"]
     if depth is None:
@@ -119,9 +132,7 @@ def cmd_fcf(cfg: dict, out: Path, rng) -> dict:
     geom = _geometry(cfg)
     sol = cfg["solver"]
     n_max, n_bands = sol["n_max"], cfg["fcf"]["bands"]
-    for key in ("bands", "n_shifts"):
-        if cfg["fcf"][key] < 1:
-            raise ConfigError(f"'fcf.{key}' must be >= 1")
+    _check_counts(cfg, 1, "fcf.bands", "fcf.n_shifts")
     if n_max + 1 < max(n_bands, 4):
         raise ValueError(
             f"fcf.bands = {n_bands} and the harmonic oracle's 4 levels need "
@@ -152,6 +163,9 @@ def cmd_fcf(cfg: dict, out: Path, rng) -> dict:
 
 
 def cmd_spectrum(cfg: dict, out: Path, rng) -> dict:
+    _check_counts(cfg, 1, "spectrum.n_detunings",
+                  "spectrum.polarization_angles")
+    _check_counts(cfg, 0, "spectrum.atoms_per_point")
     atom = cesium()
     sp = cfg["spectrum"]
     scfg = SpectroscopyConfig(
@@ -163,8 +177,6 @@ def cmd_spectrum(cfg: dict, out: Path, rng) -> dict:
         sp["detuning_min_khz"], sp["detuning_max_khz"], sp["n_detunings"])
     cols, headers, meta = [detunings / (2 * math.pi * 1e3)], ["detuning_khz"], {}
     atoms = sp["atoms_per_point"]
-    if atoms < 0:
-        raise ConfigError("'spectrum.atoms_per_point' must be >= 0")
     angles = sp["polarization_angles"]
     geoms = [_geometry(cfg, angle=angle) for angle in angles]
     results = simulate_spectra(geoms, atom, pulse, detunings,
@@ -191,9 +203,8 @@ def cmd_fit(cfg: dict, out: Path, rng) -> dict:
     ft = cfg["fit"]
     if not ft["input_csv"]:
         raise ConfigError("'fit.input_csv' is required")
+    _check_counts(cfg, 1, "fit.atoms_per_point")
     atoms = ft["atoms_per_point"]
-    if atoms < 1:
-        raise ConfigError("'fit.atoms_per_point' must be >= 1")
     raw = np.genfromtxt(ft["input_csv"], delimiter=",", names=True,
                         deletechars="")
     names = raw.dtype.names
@@ -269,6 +280,7 @@ def cmd_cool(cfg: dict, out: Path, rng) -> dict:
 
 
 def cmd_coolmap(cfg: dict, out: Path, rng) -> dict:
+    _check_counts(cfg, 1, "coolmap.eta_x_points", "coolmap.coupling_points")
     params = _cooling_params(cfg)
     cm = cfg["coolmap"]
     eta_grid = np.linspace(cm["eta_x_min"], cm["eta_x_max"], cm["eta_x_points"])
@@ -298,6 +310,7 @@ def cmd_engineer(cfg: dict, out: Path, rng) -> dict:
     model = engineering.HarmonicModel(omega_vib=omega_vib, n_max=eng["n_max"])
     task = eng["task"]
     if task == "superposition":
+        _check_counts(cfg, 1, "engineer.pulse_areas")
         areas = np.asarray(eng["pulse_areas"], dtype=float)
         p0 = np.empty_like(areas)
         p2 = np.empty_like(areas)
@@ -327,6 +340,7 @@ def cmd_engineer(cfg: dict, out: Path, rng) -> dict:
 
 
 def cmd_filter(cfg: dict, out: Path, rng) -> dict:
+    _check_counts(cfg, 0, "filter.atoms")
     fl = cfg["filter"]
     f = fl["single_pass_efficiency"]
     reps = fl["repetitions"]
@@ -340,8 +354,6 @@ def cmd_filter(cfg: dict, out: Path, rng) -> dict:
     headers = ["n", "survival"]
     cols = [np.arange(n_plateaus), plateaus]
     atoms = fl["atoms"]
-    if atoms < 0:
-        raise ConfigError("'filter.atoms' must be >= 0")
     used = plateaus
     if atoms > 0:
         used = rng.binomial(atoms, np.clip(plateaus, 0, 1)) / atoms

@@ -223,7 +223,7 @@ STRANG_STEPS = 1 << 20
 
 
 def worker_count(cores: int, env: Mapping[str, str]) -> int:
-    """Threads that propagate the blocks of a stack at once.
+    """Threads that run the blocks of a stack, or the thermal nodes, at once.
 
     ``cores`` over the BLAS threads, at least 1.  The BLAS thread count is
     the first of OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS
@@ -247,6 +247,38 @@ def _usable_cores() -> int:
 
 # Read once: BLAS reads its thread count when numpy loads, before this.
 WORKERS = worker_count(_usable_cores(), os.environ)
+
+
+def _on_workers(work, items: Sequence, buffers=lambda share: ()) -> list:
+    """``[work(item, *buffers(share)) for item in items]`` on the workers.
+
+    The items are dealt to min(``WORKERS``, len(items)) shares, share w
+    holding ``items[w::n]``.  The calling thread runs share 0 and each other
+    share runs on its own one-thread executor; ``buffers`` runs on the
+    calling thread (a helper's allocation would stay in its malloc arena).
+    The results come back in item order.  An exception in any share reaches
+    the caller, and every helper is joined before this returns or raises.
+    """
+    n = min(WORKERS, len(items))
+    shares = [items[w::n] for w in range(n)]
+
+    def run(share, bufs):
+        return [work(item, *bufs) for item in share]
+
+    pools = [ThreadPoolExecutor(max_workers=1) for _ in shares[1:]]
+    try:
+        futures = [pool.submit(run, share, buffers(share))
+                   for pool, share in zip(pools, shares[1:])]
+        done = [run(shares[0], buffers(shares[0]))]
+        done += [future.result() for future in futures]
+    finally:
+        for pool in pools:
+            pool.shutdown()
+    out = [None] * len(items)
+    for w, results in enumerate(done):
+        out[w::n] = results
+    return out
+
 
 # Largest relative change of a state's norm over one propagation.  Every
 # step is unitary, so the norm moves by rounding only: by 6.6e-10 at most
@@ -346,14 +378,11 @@ def _strang(fc: np.ndarray, diag: np.ndarray, psi: np.ndarray,
 
     The stack runs in blocks of systems at one step, each through the whole
     pulse: at most ``STACK_BLOCK`` amplitudes each, and split into as many
-    blocks as ``WORKERS`` while each keeps ``THREAD_BLOCK``.  The calling
-    thread runs one share of the blocks, and each other share runs on its
-    own one-thread executor, in buffers the calling thread allocates (a
-    helper's would stay in its malloc arena); numpy releases the GIL in
-    the GEMMs and ufuncs that do the work.  The states do not depend on
-    the number of workers: a system's arithmetic does not depend on its
-    block.  An exception in any block reaches the caller, and every helper
-    is joined before ``_strang`` returns or raises.  More than
+    blocks as ``WORKERS`` while each keeps ``THREAD_BLOCK``, run by
+    ``_on_workers`` in buffers the calling thread allocates; numpy releases
+    the GIL in the GEMMs and ufuncs that do the work.  The states do not
+    depend on the number of workers: a system's arithmetic does not depend
+    on its block.  More than
     ``STRANG_STEPS`` steps in a block, or a norm that moves by more than
     ``NORM_DRIFT_BOUND`` (relative), raises ``RuntimeError``.
     """
@@ -366,9 +395,6 @@ def _strang(fc: np.ndarray, diag: np.ndarray, psi: np.ndarray,
     modes = _coupling_modes(u, vh.swapaxes(1, 2))
     norm0 = np.linalg.norm(psi, axis=1)
 
-    n_workers = min(WORKERS, len(blocks))
-    shares = [blocks[w::n_workers] for w in range(n_workers)]
-
     def buffers(share):
         # work, diagonal phases and rotation tables of the largest block
         most = max(b.stop - b.start for b, _, _ in share)
@@ -377,22 +403,13 @@ def _strang(fc: np.ndarray, diag: np.ndarray, psi: np.ndarray,
                 np.empty((most, dim, diag.shape[2]), dtype=complex),
                 np.empty((most, chunk, dim * dim)))
 
-    def run(share, bufs):
-        for b, step, n_steps in share:
-            k = b.stop - b.start
-            _strang_steps(sigma[b], modes[b], diag[b], psi[b], pulse, step,
-                          n_steps, *(buf[:k] for buf in bufs))
+    def run(block, *bufs):
+        b, step, n_steps = block
+        k = b.stop - b.start
+        _strang_steps(sigma[b], modes[b], diag[b], psi[b], pulse, step,
+                      n_steps, *(buf[:k] for buf in bufs))
 
-    pools = [ThreadPoolExecutor(max_workers=1) for _ in shares[1:]]
-    try:
-        futures = [pool.submit(run, share, buffers(share))
-                   for pool, share in zip(pools, shares[1:])]
-        run(shares[0], buffers(shares[0]))
-        for future in futures:
-            future.result()
-    finally:
-        for pool in pools:
-            pool.shutdown()
+    _on_workers(run, blocks, buffers)
     _check_norm(psi, norm0)
 
 
@@ -641,10 +658,12 @@ def _thermal_systems(w_up: float, w_down: float, u_down_tot: float,
     u = m omega_r^2 rho^2 / (2 kB T) this is g = exp(-u kB T / W_up), free
     of omega_r.  ``cfg.thermal_samples`` nodes are used, or one node at
     g = 1 when t2d <= 0.  At each node the bands and Franck-Condon tables
-    are re-derived; each level of ``thermal_populations`` >= 1e-6, at ratio
-    exp(-hbar omega / kB T) (T = ``cfg.axial_temperature``, omega the node's
-    up-spin trap frequency; 0 at T <= 0), is one entry weighted by node
-    weight times population.
+    are re-derived, the nodes on the workers (``_on_workers``; the band
+    solves release the GIL), and the entries come in node order.  Each
+    level of ``thermal_populations`` >= 1e-6, at ratio exp(-hbar omega /
+    kB T) (T = ``cfg.axial_temperature``, omega the node's up-spin trap
+    frequency; 0 at T <= 0), is one entry weighted by node weight times
+    population.
     """
     q_cut = default_q_cutoff(w_up) if cfg.q_cutoff is None else cfg.q_cutoff
     if t2d > 0.0:
@@ -654,8 +673,9 @@ def _thermal_systems(w_up: float, w_down: float, u_down_tot: float,
     else:
         scales, weights = np.ones(1), np.ones(1)
     t_ax = cfg.axial_temperature
-    entries = []
-    for g, w_node in zip(scales, weights):
+
+    def node(scale_and_weight):
+        g, w_node = scale_and_weight
         system = system_from_potentials(
             w_up * g, w_down * g, u_down_tot * g, dx, atom,
             lattice_wavelength, n_max=cfg.n_max, k_points=cfg.k_points,
@@ -663,9 +683,11 @@ def _thermal_systems(w_up: float, w_down: float, u_down_tot: float,
         omega = trap_frequency(w_up * g, atom, lattice_wavelength)
         ratio = math.exp(-HBAR * omega / (KB * t_ax)) if t_ax > 0 else 0.0
         pops = thermal_populations(ratio, cfg.n_max)
-        entries += [(system, n0, w_node * p0) for n0, p0 in enumerate(pops)
-                    if p0 >= 1e-6]
-    return entries
+        return [(system, n0, w_node * p0) for n0, p0 in enumerate(pops)
+                if p0 >= 1e-6]
+
+    nodes = _on_workers(node, list(zip(scales, weights)))
+    return [entry for entries in nodes for entry in entries]
 
 
 def _stacked_transfers(groups: list[list[tuple[SidebandSystem, int, float]]],

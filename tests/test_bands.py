@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -96,6 +98,9 @@ def test_cached_bands_identity():
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         solve_bands(-1.0)
+    for depth in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            solve_bands(depth, q_cutoff=4)
     with pytest.raises(ValueError):
         solve_bands(10.0, n_bands=100, q_cutoff=4)
     with pytest.raises(ValueError, match="k_points must be >= 1, got 0"):
@@ -153,15 +158,16 @@ def test_mirrored_bands_match_per_k_solve(depth, k_points):
 
 def test_corrupted_eigenvector_raises_naming_band_and_k(monkeypatch):
     calls = []
+    lowest = bands._lapack_lowest
 
     def corrupting(*args, **kwargs):
-        vals, vecs = eigh_tridiagonal(*args, **kwargs)
+        vals, vecs = lowest(*args, **kwargs)
         calls.append(1)
         if len(calls) == 4:             # the fourth k solved, k_4 = +1/8
-            vecs[:, 2] = np.roll(vecs[:, 2], 1)
+            vecs[2] = np.roll(vecs[2], 1)
         return vals, vecs
 
-    monkeypatch.setattr(bands, "eigh_tridiagonal", corrupting)
+    monkeypatch.setattr(bands, "_lapack_lowest", corrupting)
     k = -1.0 + 7.0 / 8.0                # k_3 of the 8-point grid, its mirror
     with pytest.raises(BandSolverError, match=f"band 2, k={k:.4f}"):
         solve_bands(850.0, n_bands=4, k_points=8)
@@ -246,6 +252,7 @@ def test_band_coefficients_are_the_full_array_bit_for_bit(depth, k_points):
     (850.0, 14, 16, 67),                # the fit's bands
     (850.0, 16, 32, None),              # the spectrum's default bands
     (850.0, 4, 15, None),
+    (850.0, 1, 16, 0),                  # N = 1, which scipy special-cases
 ])
 def test_spectrum_keeps_the_real_k_ge_0_vectors_only(depth, n_bands,
                                                      k_points, q_cutoff):
@@ -263,3 +270,41 @@ def test_spectrum_keeps_the_real_k_ge_0_vectors_only(depth, n_bands,
         vals, vecs = bands._solve_single_k(k, depth, n_bands, spec.q_cutoff)
         assert np.array_equal(spec.vectors[j], vecs)
         assert np.array_equal(spec.energies[k_points // 2 + j], vals)
+        # the LAPACK calls are those of eigh_tridiagonal, bit for bit
+        q = spec.q_values
+        ref_vals, ref_vecs = eigh_tridiagonal(
+            (k + 2.0 * q) ** 2 + depth / 2.0,
+            np.full(q.size - 1, -depth / 4.0),
+            select="i", select_range=(0, n_bands - 1))
+        assert np.array_equal(vecs, ref_vecs.T)
+        assert np.array_equal(vals, ref_vals)
+
+
+def test_threads_solving_different_depths_give_the_serial_bits():
+    # the LAPACK calls release the GIL, so the two threads' solves overlap
+    depths = (850.0, 612.5)
+    serial = [solve_bands(d, n_bands=14, k_points=16, q_cutoff=67)
+              for d in depths]
+    start = threading.Barrier(2, timeout=10)
+
+    def solve(depth):
+        start.wait()
+        return [solve_bands(depth, n_bands=14, k_points=16, q_cutoff=67)
+                for _ in range(4)]
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(solve, depths))
+    for ref, runs in zip(serial, threaded):
+        for spec in runs:
+            assert np.array_equal(spec.vectors, ref.vectors)
+            assert np.array_equal(spec.energies, ref.energies)
+
+
+def test_lapack_failure_raises_instead_of_returning_garbage():
+    # dstebz returns info 4 on a NaN diagonal; scipy checked finiteness first
+    with pytest.raises(BandSolverError, match="dstebz: info 4, 0 of 2"):
+        bands._lapack_lowest(np.array([1.0, math.nan, 2.0]), np.zeros(2), 2)
+    with pytest.raises(ValueError, match="n_bands <= N"):
+        bands._lapack_lowest(np.ones(3), np.zeros(2), 4)
+    with pytest.raises(ValueError, match="off \\(N - 1,\\)"):
+        bands._lapack_lowest(np.ones(3), np.zeros(3), 1)

@@ -397,30 +397,41 @@ def test_fit_input_that_is_not_a_finite_number_exits_2(tmp_path, capsys,
     assert not (tmp_path / "fit.json").exists()
 
 
-@pytest.mark.parametrize("command, key, atoms, bound", [
+@pytest.mark.parametrize("command, key, value, bound", [
     ("fit", "fit.atoms_per_point", 0, ">= 1"),
     ("fit", "fit.atoms_per_point", -3, ">= 1"),
     ("spectrum", "spectrum.atoms_per_point", -1, ">= 0"),
     ("filter", "filter.atoms", -5, ">= 0"),
+    ("coolmap", "coolmap.eta_x_points", 0, ">= 1"),
+    ("coolmap", "coolmap.coupling_points", 0, ">= 1"),
+    ("spectrum", "spectrum.n_detunings", 0, ">= 1"),
+    ("bands", "bands.wannier_points", 0, ">= 1"),
+    ("spectrum", "spectrum.polarization_angles", [], "a non-empty list"),
+    ("engineer", "engineer.pulse_areas", [], "a non-empty list"),
 ])
 def test_atom_counts_below_their_bound_exit_2(tmp_path, capsys, command, key,
-                                              atoms, bound):
+                                              value, bound):
     # a fit's binomial errors need one atom a point (0 divided by zero, a
     # negative count gave non-finite residuals); spectrum and filter draws
-    # need a count >= 0 (0 is exact, a negative count was taken as 0)
+    # need a count >= 0 (0 is exact, a negative count was taken as 0).  No
+    # grid points or list entries wrote a header-only or empty CSV, or
+    # failed on the empty result after writing one (exit 3).
     data = tmp_path / "data.csv"
     data.write_text("detuning_khz,p\n-400,0.1\n-200,0.5\n0,0.2\n")
-    block = {"fit": {"fit": dict(TINY_FIT, input_csv=str(data),
-                                 atoms_per_point=atoms)},
-             "spectrum": {"spectrum": {"n_detunings": 3,
-                                       "atoms_per_point": atoms}},
-             "filter": {"filter": {"atoms": atoms}}}[command]
+    section, name = key.split(".")
+    block = {section: {name: value}}
+    if command == "fit":
+        block = {"fit": dict(TINY_FIT, input_csv=str(data),
+                             atoms_per_point=value)}
+    elif command == "spectrum":
+        block["spectrum"].setdefault("n_detunings", 3)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(block))
-    assert run_cli([command, "--config", str(cfg),
-                    "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"'{key}' must be {bound}" in capsys.readouterr().err
-    assert not (tmp_path / f"{command}.json").exists()
+    assert not (out / f"{command}.json").exists()
+    assert not list(out.iterdir())      # no file written
 
 
 @pytest.mark.parametrize("key", ["n_shifts", "bands"])

@@ -14,7 +14,8 @@ from mwlattice.engineering import HarmonicModel
 from mwlattice.lattice import (KB, cesium, LatticeGeometry,
                                potentials_from_angle, recoil_energy,
                                trap_frequency)
-from mwlattice import spectroscopy
+from mwlattice import bands, spectroscopy
+from mwlattice.bands import BandSolverError
 from mwlattice.spectroscopy import (FIT_NAMES, STACK_BLOCK, PulseSpec,
                                     SpectroscopyConfig, SpinMotionState,
                                     _coupling_modes, _fit_problem,
@@ -268,13 +269,15 @@ def waist_depth_scales(t2d, radial_hz, n_nodes, w_up=850.0):
 
 def thermal_nodes(monkeypatch, t2d, n_nodes):
     """(depth scale, weight) of every node of ``_thermal_systems``: with
-    w_down = 1 the scaled down depth is the scale itself."""
+    w_down = 1 the scaled down depth is the scale itself.  The nodes run on
+    the workers, so the scales are recorded in any order; in node order
+    they fall strictly, exp(-u kB T / W_up) at rising Laguerre nodes u."""
     scales = []
     monkeypatch.setattr(spectroscopy, "system_from_potentials",
                         lambda w_up, w_down, *a, **kw: scales.append(w_down))
     cfg = SpectroscopyConfig(n_max=2, thermal_samples=n_nodes)
     entries = _thermal_systems(850.0, 1.0, 1.0, 0.1, t2d, ATOM, 865.95, cfg)
-    return np.array(scales), np.array([e[2] for e in entries])
+    return np.sort(scales)[::-1], np.array([e[2] for e in entries])
 
 
 def test_node_depth_scales_match_beam_waist_formula(monkeypatch):
@@ -308,6 +311,60 @@ def test_thermal_entries_follow_axial_boltzmann_ratio():
     from scipy.constants import hbar, k
     assert entries[1][2] / entries[0][2] == pytest.approx(
         math.exp(-hbar * omega / (k * 10e-6)), rel=1e-9)
+
+
+def cleared_thermal_systems(t2d=10e-6):
+    """``_thermal_systems`` of five nodes and several axial levels, each
+    node's bands solved afresh (the band cache emptied first)."""
+    bands._cached_bands.cache_clear()
+    geom = LatticeGeometry(865.95, 850.0, 0.8770)
+    up, down, dx = potentials_from_angle(geom)
+    cfg = SpectroscopyConfig(n_max=5, k_points=8, thermal_samples=5,
+                             axial_temperature=20e-6)
+    return _thermal_systems(up.contrast, down.contrast, down.total_depth, dx,
+                            t2d, ATOM, 865.95, cfg)
+
+
+def test_thermal_systems_do_not_depend_on_the_worker_count(monkeypatch):
+    build = spectroscopy.system_from_potentials
+    threads = []
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(spectroscopy, "system_from_potentials", recorded)
+    out = {}
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(spectroscopy, "WORKERS", workers)
+        threads.clear()
+        out[workers] = cleared_thermal_systems()
+        assert len(threads) == 5 and len(set(threads)) == workers
+    ref = out[1]
+    assert len(ref) > 5                 # several axial levels a node
+    for entries in (out[2], out[4]):
+        assert [e[1:] for e in entries] == [e[1:] for e in ref]
+        for (system, _, _), (expected, _, _) in zip(entries, ref):
+            for name in ("energy_up", "energy_down", "fc_matrix"):
+                assert np.array_equal(getattr(system, name),
+                                      getattr(expected, name))
+
+
+def test_band_solver_error_in_a_helper_node_reaches_the_caller(monkeypatch):
+    solve = bands._solve_single_k
+    main = threading.get_ident()
+
+    def failing(*args):
+        if threading.get_ident() != main:
+            raise BandSolverError("helper's band solve failed")
+        return solve(*args)
+
+    monkeypatch.setattr(bands, "_solve_single_k", failing)
+    monkeypatch.setattr(spectroscopy, "WORKERS", 2)
+    threads = threading.active_count()
+    with pytest.raises(BandSolverError, match="helper's band solve failed"):
+        cleared_thermal_systems()
+    assert threading.active_count() == threads
 
 
 def test_binomial_sigma_never_zero():
