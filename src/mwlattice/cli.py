@@ -100,7 +100,7 @@ def _q_cutoff(cfg: dict) -> int | None:
 
 
 def cmd_bands(cfg: dict, out: Path, rng) -> dict:
-    _check_counts(cfg, 1, "bands.wannier_points")
+    _check_counts(cfg, 1, "bands.wannier_points", "bands.wannier_bands")
     sol = cfg["solver"]
     depth = cfg["bands"]["depth"]
     if depth is None:
@@ -164,7 +164,7 @@ def cmd_fcf(cfg: dict, out: Path, rng) -> dict:
 
 def cmd_spectrum(cfg: dict, out: Path, rng) -> dict:
     _check_counts(cfg, 1, "spectrum.n_detunings",
-                  "spectrum.polarization_angles")
+                  "spectrum.polarization_angles", "spectrum.thermal_samples")
     _check_counts(cfg, 0, "spectrum.atoms_per_point")
     atom = cesium()
     sp = cfg["spectrum"]
@@ -203,7 +203,7 @@ def cmd_fit(cfg: dict, out: Path, rng) -> dict:
     ft = cfg["fit"]
     if not ft["input_csv"]:
         raise ConfigError("'fit.input_csv' is required")
-    _check_counts(cfg, 1, "fit.atoms_per_point")
+    _check_counts(cfg, 1, "fit.atoms_per_point", "fit.thermal_samples")
     atoms = ft["atoms_per_point"]
     raw = np.genfromtxt(ft["input_csv"], delimiter=",", names=True,
                         deletechars="")
@@ -255,6 +255,7 @@ def _cooling_params(cfg: dict) -> cooling.CoolingParams:
 
 
 def cmd_cool(cfg: dict, out: Path, rng) -> dict:
+    _check_counts(cfg, 0, "cool.evolve_ms")
     params = _cooling_params(cfg)
     lio = cooling.build_liouvillian(params)
     steady = cooling.steady_state(params, lio)

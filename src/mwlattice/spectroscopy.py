@@ -249,35 +249,12 @@ def _usable_cores() -> int:
 WORKERS = worker_count(_usable_cores(), os.environ)
 
 
-def _on_workers(work, items: Sequence, buffers=lambda share: ()) -> list:
-    """``[work(item, *buffers(share)) for item in items]`` on the workers.
-
-    The items are dealt to min(``WORKERS``, len(items)) shares, share w
-    holding ``items[w::n]``.  The calling thread runs share 0 and each other
-    share runs on its own one-thread executor; ``buffers`` runs on the
-    calling thread (a helper's allocation would stay in its malloc arena).
-    The results come back in item order.  An exception in any share reaches
-    the caller, and every helper is joined before this returns or raises.
-    """
-    n = min(WORKERS, len(items))
-    shares = [items[w::n] for w in range(n)]
-
-    def run(share, bufs):
-        return [work(item, *bufs) for item in share]
-
-    pools = [ThreadPoolExecutor(max_workers=1) for _ in shares[1:]]
-    try:
-        futures = [pool.submit(run, share, buffers(share))
-                   for pool, share in zip(pools, shares[1:])]
-        done = [run(shares[0], buffers(shares[0]))]
-        done += [future.result() for future in futures]
-    finally:
-        for pool in pools:
-            pool.shutdown()
-    out = [None] * len(items)
-    for w, results in enumerate(done):
-        out[w::n] = results
-    return out
+def _on_workers(work, items: Sequence) -> list:
+    """``[work(item) for item in items]`` on min(``WORKERS``, len(items))
+    threads, in item order.  The first item to raise, in item order, raises
+    here once every thread is joined; items not yet started are dropped."""
+    with ThreadPoolExecutor(min(WORKERS, len(items))) as pool:
+        return list(pool.map(work, items))
 
 
 # Largest relative change of a state's norm over one propagation.  Every
@@ -378,38 +355,28 @@ def _strang(fc: np.ndarray, diag: np.ndarray, psi: np.ndarray,
 
     The stack runs in blocks of systems at one step, each through the whole
     pulse: at most ``STACK_BLOCK`` amplitudes each, and split into as many
-    blocks as ``WORKERS`` while each keeps ``THREAD_BLOCK``, run by
-    ``_on_workers`` in buffers the calling thread allocates; numpy releases
-    the GIL in the GEMMs and ufuncs that do the work.  The states do not
-    depend on the number of workers: a system's arithmetic does not depend
-    on its block.  More than
+    blocks as ``WORKERS`` while each keeps ``THREAD_BLOCK``, run on the
+    thread pool of ``_on_workers``; numpy releases the GIL in the GEMMs and
+    ufuncs that do the work.  The states do not depend on the number of
+    workers: a system's arithmetic does not depend on its block.  More than
     ``STRANG_STEPS`` steps in a block, or a norm that moves by more than
-    ``NORM_DRIFT_BOUND`` (relative), raises ``RuntimeError``.
+    ``NORM_DRIFT_BOUND`` (relative), raises ``RuntimeError``; a block's
+    exception reaches the caller once the running blocks have finished.
     """
     # Subtract the per-column mean: a constant on the diagonal is a global
     # phase and only the spread limits the split-step accuracy.
     diag -= diag.mean(axis=1, keepdims=True)
-    dim, n_col = psi.shape[1:]
-    blocks = _blocks(diag, pulse, dt, groups, n_col)
+    blocks = _blocks(diag, pulse, dt, groups, psi.shape[2])
     u, sigma, vh = np.linalg.svd(fc)
     modes = _coupling_modes(u, vh.swapaxes(1, 2))
     norm0 = np.linalg.norm(psi, axis=1)
 
-    def buffers(share):
-        # work, diagonal phases and rotation tables of the largest block
-        most = max(b.stop - b.start for b, _, _ in share)
-        chunk = min(SCHEDULE_CHUNK, max(n for _, _, n in share))
-        return (np.empty((most, dim, n_col), dtype=complex),
-                np.empty((most, dim, diag.shape[2]), dtype=complex),
-                np.empty((most, chunk, dim * dim)))
-
-    def run(block, *bufs):
+    def run(block):
         b, step, n_steps = block
-        k = b.stop - b.start
         _strang_steps(sigma[b], modes[b], diag[b], psi[b], pulse, step,
-                      n_steps, *(buf[:k] for buf in bufs))
+                      n_steps)
 
-    _on_workers(run, blocks, buffers)
+    _on_workers(run, blocks)
     _check_norm(psi, norm0)
 
 
@@ -426,9 +393,8 @@ def _check_norm(psi: np.ndarray, norm0: np.ndarray) -> None:
 
 
 def _strang_steps(sigma: np.ndarray, modes: np.ndarray, diag: np.ndarray,
-                  psi: np.ndarray, pulse: PulseSpec, dt: float, n_steps: int,
-                  work: np.ndarray, full: np.ndarray,
-                  table: np.ndarray) -> None:
+                  psi: np.ndarray, pulse: PulseSpec, dt: float,
+                  n_steps: int) -> None:
     """The Strang loop of ``_strang`` on one block of systems.
 
     Second-order splitting with exact diagonal phases and the exact
@@ -446,6 +412,10 @@ def _strang_steps(sigma: np.ndarray, modes: np.ndarray, diag: np.ndarray,
     # one scalar phase on the up rows per step (never applied off a chirp).
     m = psi.shape[1] // 2
     chirp = pulse.envelope == "adiabatic_chirp"
+    work = np.empty(psi.shape, dtype=complex)
+    full = np.empty(diag.shape, dtype=complex)
+    table = np.empty((len(sigma), min(SCHEDULE_CHUNK, n_steps),
+                      modes.shape[2]))
     np.multiply(diag, -0.5j * dt, out=full)
     np.exp(full, out=full)
     psi *= full
@@ -555,8 +525,11 @@ def propagate_detunings(system: SidebandSystem, pulse: PulseSpec,
     spectra and the fit's Jacobian also run: the states are the columns of
     a (dim, N) array, the step schedule (Rabi frequencies, chirp phases and
     rotation matrices) is computed with numpy a chunk of steps at a time,
-    and the rows are transposed back on return.
+    and the rows are transposed back on return.  No detunings raises
+    ``ValueError``.
     """
+    if np.size(detunings) == 0:
+        raise ValueError("detunings: empty, need at least one")
     diag = system.diagonal(detunings)                            # (dim, Nd)
     amps = initial.amplitudes
     shape = np.broadcast_shapes(amps.shape, diag.T.shape)
@@ -737,8 +710,11 @@ def simulate_spectra(geoms: Sequence[LatticeGeometry], atom: AtomConstants,
                      cfg: SpectroscopyConfig = SpectroscopyConfig(),
                      ) -> list[SpectrumResult]:
     """``simulate_spectrum`` of each geometry, the thermal states of all of
-    them in one stacked loop; each spectrum is the one it gives alone."""
+    them in one stacked loop; each spectrum is the one it gives alone.
+    No detunings raises ``ValueError``."""
     detunings = np.asarray(detunings, dtype=float)
+    if detunings.size == 0:
+        raise ValueError("detunings: empty, need at least one")
     if not geoms:
         return []
     groups = []

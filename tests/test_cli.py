@@ -408,6 +408,11 @@ def test_fit_input_that_is_not_a_finite_number_exits_2(tmp_path, capsys,
     ("bands", "bands.wannier_points", 0, ">= 1"),
     ("spectrum", "spectrum.polarization_angles", [], "a non-empty list"),
     ("engineer", "engineer.pulse_areas", [], "a non-empty list"),
+    ("bands", "bands.wannier_bands", 0, ">= 1"),
+    ("bands", "bands.wannier_bands", -3, ">= 1"),
+    ("spectrum", "spectrum.thermal_samples", 0, ">= 1"),
+    ("fit", "fit.thermal_samples", 0, ">= 1"),
+    ("cool", "cool.evolve_ms", -1, ">= 0"),
 ])
 def test_atom_counts_below_their_bound_exit_2(tmp_path, capsys, command, key,
                                               value, bound):
@@ -415,14 +420,15 @@ def test_atom_counts_below_their_bound_exit_2(tmp_path, capsys, command, key,
     # negative count gave non-finite residuals); spectrum and filter draws
     # need a count >= 0 (0 is exact, a negative count was taken as 0).  No
     # grid points or list entries wrote a header-only or empty CSV, or
-    # failed on the empty result after writing one (exit 3).
+    # failed on the empty result after writing one (exit 3).  No Wannier
+    # bands wrote a CSV of the x column only, no thermal nodes failed in
+    # scipy without naming the key, and a negative evolution time ran as 0.
     data = tmp_path / "data.csv"
     data.write_text("detuning_khz,p\n-400,0.1\n-200,0.5\n0,0.2\n")
     section, name = key.split(".")
     block = {section: {name: value}}
     if command == "fit":
-        block = {"fit": dict(TINY_FIT, input_csv=str(data),
-                             atoms_per_point=value)}
+        block = {"fit": dict(TINY_FIT, input_csv=str(data), **{name: value})}
     elif command == "spectrum":
         block["spectrum"].setdefault("n_detunings", 3)
     cfg = tmp_path / "cfg.json"

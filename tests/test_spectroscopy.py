@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -325,21 +326,32 @@ def cleared_thermal_systems(t2d=10e-6):
                             t2d, ATOM, 865.95, cfg)
 
 
+def held_at_a_barrier(func, workers, calls):
+    """``func``, recording each call's first argument in ``calls``.  The
+    first ``workers`` calls wait until that many run at once, and raise
+    ``BrokenBarrierError`` after 10 s if fewer do."""
+    barrier = threading.Barrier(workers, timeout=10)
+    order = itertools.count()
+
+    def held(first, *args, **kwargs):
+        calls.append(first)
+        if next(order) < workers:
+            barrier.wait()
+        return func(first, *args, **kwargs)
+
+    return held
+
+
 def test_thermal_systems_do_not_depend_on_the_worker_count(monkeypatch):
     build = spectroscopy.system_from_potentials
-    threads = []
-
-    def recorded(*args, **kwargs):
-        threads.append(threading.get_ident())
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(spectroscopy, "system_from_potentials", recorded)
     out = {}
     for workers in (1, 2, 4):
+        calls = []
+        monkeypatch.setattr(spectroscopy, "system_from_potentials",
+                            held_at_a_barrier(build, workers, calls))
         monkeypatch.setattr(spectroscopy, "WORKERS", workers)
-        threads.clear()
         out[workers] = cleared_thermal_systems()
-        assert len(threads) == 5 and len(set(threads)) == workers
+        assert len(calls) == 5
     ref = out[1]
     assert len(ref) > 5                 # several axial levels a node
     for entries in (out[2], out[4]):
@@ -389,6 +401,30 @@ def test_simulate_spectrum_peak_at_carrier():
     above = detunings[result.transfer > half]
     fwhm_khz = (above.max() - above.min()) / (2 * math.pi * 1e3)
     assert fwhm_khz == pytest.approx(20.0, rel=0.25)
+
+
+@pytest.mark.parametrize("dt", [None, 5e-7])
+def test_empty_detunings_raise_before_any_work(monkeypatch, dt):
+    geom = LatticeGeometry(865.95, 850.0, 0.8770)
+    system = small_system(n_max=4, k_points=8)
+    initial = SpinMotionState.basis(4, "up", 0)
+    pulse = gaussian_pi_pulse(30e-6)
+    cfg = SpectroscopyConfig(n_max=4, k_points=8, thermal_samples=1, dt=dt)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(spectroscopy, "system_from_potentials", no_work)
+    monkeypatch.setattr(spectroscopy, "_strang", no_work)
+    calls = [
+        lambda: simulate_spectrum(geom, ATOM, pulse, np.array([]), 10e-6, cfg),
+        lambda: spectroscopy.simulate_spectra([geom, geom], ATOM, pulse, [],
+                                              cfg=cfg),
+        lambda: propagate_detunings(system, pulse, initial, np.array([]), dt),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="detunings: empty"):
+            call()
 
 
 def test_fit_model_honours_axial_temperature():
@@ -493,25 +529,19 @@ def uneven_stack(envelope):
 def test_states_do_not_depend_on_the_worker_count(monkeypatch, envelope):
     fc, diag, psi, pulse = uneven_stack(envelope)
     steps = spectroscopy._strang_steps
-    blocks = []
-
-    def recorded(sigma, *args):
-        blocks.append((threading.get_ident(), len(sigma)))
-        steps(sigma, *args)
-
-    monkeypatch.setattr(spectroscopy, "_strang_steps", recorded)
     split = {1: [5], 2: [2, 3], 4: [1, 1, 1, 2]}
     out = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)     # threads switch between numpy calls
     try:
         for workers, sizes in split.items():
+            blocks = []
+            monkeypatch.setattr(spectroscopy, "_strang_steps",
+                                held_at_a_barrier(steps, workers, blocks))
             monkeypatch.setattr(spectroscopy, "WORKERS", workers)
-            blocks.clear()
             out[workers] = psi.copy()
             _strang(fc, diag.copy(), out[workers], pulse, 5e-7)
-            assert len({ident for ident, _ in blocks}) == workers
-            assert sorted(n for _, n in blocks) == sizes
+            assert sorted(len(sigma) for sigma in blocks) == sizes
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(out[1], out[2])
@@ -540,32 +570,32 @@ def test_helper_exception_reaches_the_caller(monkeypatch):
     assert threading.active_count() == threads
 
 
-class CallerFailure(Exception):
+class BlockFailure(Exception):
     pass
 
 
-def test_caller_exception_waits_for_the_running_helper(monkeypatch):
+def test_a_failing_block_waits_for_the_running_one(monkeypatch):
     fc, diag, psi, pulse = uneven_stack("gaussian")
     steps = spectroscopy._strang_steps
-    main = threading.get_ident()
-    helper_running = threading.Event()
-    helper_done = []
+    order = itertools.count()
+    other_running = threading.Event()
+    other_done = []
 
     def failing(*args):
-        if threading.get_ident() == main:
-            assert helper_running.wait(10)
-            raise CallerFailure("calling thread's block failed")
-        helper_running.set()
-        time.sleep(0.2)         # still running when the caller raises
+        if next(order) == 0:
+            assert other_running.wait(10)
+            raise BlockFailure("first block failed")
+        other_running.set()
+        time.sleep(0.2)         # still running when the first block raises
         steps(*args)
-        helper_done.append(True)
+        other_done.append(True)
 
     monkeypatch.setattr(spectroscopy, "_strang_steps", failing)
     monkeypatch.setattr(spectroscopy, "WORKERS", 2)
     threads = threading.active_count()
-    with pytest.raises(CallerFailure, match="calling thread's block failed"):
+    with pytest.raises(BlockFailure, match="first block failed"):
         _strang(fc, diag, psi, pulse, 5e-7)
-    assert helper_done == [True]        # joined before the exception left
+    assert other_done == [True]         # joined before the exception left
     assert threading.active_count() == threads
 
 
