@@ -101,6 +101,8 @@ def _q_cutoff(cfg: dict) -> int | None:
 
 def cmd_bands(cfg: dict, out: Path, rng) -> dict:
     _check_counts(cfg, 1, "bands.wannier_points", "bands.wannier_bands")
+    if not cfg["bands"]["wannier_span"] > 0:
+        raise ConfigError("'bands.wannier_span' must be > 0")
     sol = cfg["solver"]
     depth = cfg["bands"]["depth"]
     if depth is None:
@@ -255,14 +257,15 @@ def _cooling_params(cfg: dict) -> cooling.CoolingParams:
 
 
 def cmd_cool(cfg: dict, out: Path, rng) -> dict:
-    _check_counts(cfg, 0, "cool.evolve_ms")
+    _check_counts(cfg, 0, "cool.evolve_ms", "cool.initial_n_bar")
     params = _cooling_params(cfg)
-    lio = cooling.build_liouvillian(params)
-    steady = cooling.steady_state(params, lio)
+    terms = cooling.effective_terms(params)
+    lio = cooling.build_liouvillian(params, terms)
+    steady = cooling.steady_state(params, lio, terms=terms)
     meta = {
         "p_ground": steady.rho.p_ground(), "mean_n": steady.rho.mean_n(),
         "residual": steady.residual, "degenerate": steady.degenerate,
-        "omega_vib": params.omega_vib,
+        "steady_state_path": steady.path, "omega_vib": params.omega_vib,
     }
     cols = [np.arange(params.levels), steady.rho.motional_distribution()]
     headers = ["n", "p_steady"]

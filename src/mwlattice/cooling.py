@@ -14,7 +14,12 @@ aux).  The generator acts on the row-major vec(rho) and is held as a
 ``scipy.sparse`` CSR matrix: of its dim^4 entries only O(dim^3) are nonzero.
 Every jump feeds a population and the coupling stays inside the up/down
 block, so the generator splits into invariant blocks; ``evolve`` propagates
-only those the initial state touches, each as a real matrix.
+only those the initial state touches, each as a real matrix.  For the same
+reason the generator is L(rho) = -i (H_eff rho - rho H_eff+) + diag(J diag
+rho), and ``steady_state`` solves for the dim populations instead of
+factorizing the dim^2 x dim^2 generator, unless H_eff has a mode damped
+below ``DAMPING_FLOOR`` times its fastest; then the sparse LU of the full
+generator answers.
 """
 
 from __future__ import annotations
@@ -43,6 +48,14 @@ EMISSION_NODES = 16
 # Largest state space (3 (n_max+1)) the dense SVD fallback for a degenerate
 # kernel accepts: its generator is dim^2 x dim^2 and the SVD is O(dim^6).
 SVD_DIM_LIMIT = 120
+
+# Smallest ratio of the slowest to the fastest damping rate of H_eff at
+# which ``steady_state`` reduces to the populations; below it the sparse LU
+# of the full generator answers.  On the cooling-map grids the ratio is
+# 1.4e-5 or more, and just above 1e-6 the two paths agree to 3e-9.  A 1 Hz
+# coupling leaves 1.7e-11, where they differ by up to 7e-6 and can disagree
+# on the degeneracy flag; no coupling or an unpumped spin leaves 0.
+DAMPING_FLOOR = 1e-6
 
 # Largest invariant group of vec(rho) entries that ``evolve`` diagonalizes
 # densely (O(size^3), size independent of the duration); a larger group goes
@@ -189,54 +202,69 @@ def decay_rates(params: CoolingParams) -> list[JumpChannel]:
     return channels
 
 
-def _generator_terms(params: CoolingParams
+def effective_terms(params: CoolingParams) -> tuple[np.ndarray, ...]:
+    """One ``decay_rates`` call as dense pieces, in omega_vib units.
+
+    Returns (energy, hop, decay, feed): the rotating-frame bare energies,
+    the microwave Hamiltonian per unit omega_0 (rad/s), the decay rate
+    Gamma_i of each state and the population feed J[dst, src].  The
+    generator is then L(rho) = -i (H_eff rho - rho H_eff+) + diag(J diag
+    rho) with H_eff = diag(energy) + omega_0 hop - i diag(decay) / 2.
+    None of them depends on omega_0, so a cooling-map row builds them once
+    for all its cells.
+    """
+    m, dim = params.levels, params.dim
+    decay = np.zeros(dim)
+    feed = np.zeros((dim, dim))
+    for ch in decay_rates(params):
+        g = ch.rates / params.omega_vib
+        src = slice(ch.source_spin * m, (ch.source_spin + 1) * m)
+        feed[ch.target_spin * m:(ch.target_spin + 1) * m, src] += g
+        decay[src] += g.sum(axis=0)
+    # Rotating frame, resonant with |up,1> -> |down,0>: the up ladder sits
+    # one quantum below the down ladder; aux is uncoupled.
+    n = np.arange(m, dtype=float)
+    energy = np.concatenate([n - 1.0, n, n])
+    # H per unit omega_0: -K/2 between |up,n> and |down,n'>, with
+    # K[n', n] = <n'| T_{eta_x} |n> in omega_vib units
+    hop = np.zeros((dim, dim))
+    hop[m:2 * m, :m] = -0.5 / params.omega_vib * np.real(
+        fcf_harmonic_matrix(complex(params.eta_x, 0.0), params.n_max))
+    hop[:m, m:2 * m] = hop[m:2 * m, :m].T
+    return energy, hop, decay, feed
+
+
+def _generator_terms(params: CoolingParams, terms: tuple[np.ndarray, ...]
                      ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """The generator split as L = fixed + omega_0 * coupling.
 
     ``fixed`` holds the bare-energy commutator and the dissipator,
     ``coupling`` the commutator with the microwave coupling per unit
-    omega_0 (rad/s).  Neither depends on omega_0, so a cooling-map row
-    builds them once for all its cells.
+    omega_0 (rad/s); both come from the ``effective_terms``.
     """
-    m, dim = params.levels, params.dim
+    energy, hop, decay, feed = terms
+    dim = params.dim
     pop = np.arange(dim) * (dim + 1)     # vec(rho) index of rho[i, i]
-    rows, cols, vals = [], [], []
-    decay = np.zeros(dim)                # L+L diagonal, omega_vib units
-    for ch in decay_rates(params):
-        g = ch.rates / params.omega_vib
-        n_bra, n_ket = np.nonzero(g)
-        # L rho L+ term: the population of |src,n'> feeds that of |dst,n>
-        rows.append(pop[ch.target_spin * m + n_bra])
-        cols.append(pop[ch.source_spin * m + n_ket])
-        vals.append(g[n_bra, n_ket])
-        decay[ch.source_spin * m:(ch.source_spin + 1) * m] += g.sum(axis=0)
-    # Rotating frame, resonant with |up,1> -> |down,0>: the up ladder sits
-    # one quantum below the down ladder; aux is uncoupled.  -i [H_0, rho]
-    # and the anticommutator -{L+L, rho}/2 are diagonal on vec(rho):
-    # entry (i, j) gets -i (e_i - e_j) - (d_i + d_j) / 2
-    n = np.arange(m, dtype=float)
-    e = np.concatenate([n - 1.0, n, n])
-    diag = (-1j * (e[:, None] - e[None, :])
+    # L rho L+ term: the population of |src,n'> feeds that of |dst,n>
+    dst, src = np.nonzero(feed)
+    # -i [H_0, rho] and the anticommutator -{L+L, rho}/2 are diagonal on
+    # vec(rho): entry (i, j) gets -i (e_i - e_j) - (d_i + d_j) / 2
+    diag = (-1j * (energy[:, None] - energy[None, :])
             - 0.5 * (decay[:, None] + decay[None, :])).ravel()
     every = np.arange(dim * dim)
-    fixed = sp.csr_matrix((np.concatenate([diag, *vals]),
-                           (np.concatenate([every, *rows]),
-                            np.concatenate([every, *cols]))),
+    fixed = sp.csr_matrix((np.concatenate([diag, feed[dst, src]]),
+                           (np.concatenate([every, pop[dst]]),
+                            np.concatenate([every, pop[src]]))),
                           shape=(dim * dim, dim * dim))
-
-    # H per unit omega_0: -K/2 between |up,n> and |down,n'>, with
-    # K[n', n] = <n'| T_{eta_x} |n> in omega_vib units
-    v = np.zeros((dim, dim))
-    v[m:2 * m, :m] = -0.5 / params.omega_vib * np.real(
-        fcf_harmonic_matrix(complex(params.eta_x, 0.0), params.n_max))
-    v[:m, m:2 * m] = v[m:2 * m, :m].T
-    v = sp.csr_matrix(v)
+    v = sp.csr_matrix(hop)
     eye = sp.identity(dim, format="csr")
     coupling = (-1j * (sp.kron(v, eye) - sp.kron(eye, v.T))).tocsr()
     return fixed, coupling
 
 
-def build_liouvillian(params: CoolingParams) -> sp.csr_matrix:
+def build_liouvillian(params: CoolingParams,
+                      terms: tuple[np.ndarray, ...] | None = None
+                      ) -> sp.csr_matrix:
     """Generator acting on the row-major vec(rho), in omega_vib units.
 
     drho/dt = -i [H, rho] + sum_j gamma_j (L rho L+ - {L+L, rho}/2) with
@@ -245,9 +273,12 @@ def build_liouvillian(params: CoolingParams) -> sp.csr_matrix:
     diagonal, each jump one population-to-population entry, and the
     microwave coupling -i (V x 1 - 1 x V^T) a sparse Kronecker product.
     Columns sum to zero (trace annihilation) by construction.  No size cap:
-    memory grows as the number of nonzeros, O(dim^3).
+    memory grows as the number of nonzeros, O(dim^3).  ``terms`` are the
+    ``effective_terms`` of ``params``, if already built.
     """
-    fixed, coupling = _generator_terms(params)
+    if terms is None:
+        terms = effective_terms(params)
+    fixed, coupling = _generator_terms(params, terms)
     return fixed + params.omega_0 * coupling
 
 
@@ -256,24 +287,126 @@ class SteadyStateResult:
     rho: DensityMatrix
     residual: float
     degenerate: bool
+    path: str       # "populations", "sparse_lu" or "dense_svd"
 
 
 def steady_state(params: CoolingParams, lio: sp.spmatrix | None = None,
-                 check_degenerate: bool = True) -> SteadyStateResult:
-    """Kernel of the Liouvillian, normalized to unit trace, by sparse LU.
+                 check_degenerate: bool = True,
+                 terms: tuple[np.ndarray, ...] | None = None
+                 ) -> SteadyStateResult:
+    """Kernel of the Liouvillian, normalized to unit trace.
 
-    One row of L vec(rho) = 0 is replaced by the trace constraint and the
-    system is factorized with SuperLU (``splu``), the direct sparse
-    steady-state solve of QuTiP.  A second solve with a different replaced
-    row cross-checks that the kernel is one-dimensional.  If even the first
-    system is singular, the kernel has dimension > 1 and a unit-trace
-    element of it comes from a dense SVD, which refuses state spaces above
-    ``SVD_DIM_LIMIT``.  ``residual`` is ||L vec(rho)|| of the returned
-    state on either path.
+    Every jump moves population to population, so when every mode of
+    H_eff = H - i Gamma / 2 is damped the kernel is fixed by the dim
+    populations (``_population_kernel``; Dalibard, Castin & Moelmer,
+    PRL 68, 580 (1992); Reiter & Soerensen, PRA 85, 032111 (2012)), and
+    ``path`` is "populations".  When the slowest damping rate of H_eff is
+    below ``DAMPING_FLOOR`` times the fastest, or the reduced system is
+    singular or flags a degenerate kernel, the full generator answers
+    (``path`` "sparse_lu"): one row of L vec(rho) = 0 is replaced by the
+    trace constraint and factorized with SuperLU (``splu``), the direct
+    sparse steady-state solve of QuTiP; it is also the reference the
+    reduction is tested against.  If even that system is singular, the
+    kernel has dimension > 1 and a unit-trace element of it comes from a
+    dense SVD (``path`` "dense_svd"), which refuses state spaces above
+    ``SVD_DIM_LIMIT``.
+
+    On both solve paths a second solve with a different replaced row
+    cross-checks that the kernel is one-dimensional (``degenerate`` when
+    the two differ by more than 1e-6); ``check_degenerate=False`` skips
+    it.  ``lio`` is the generator and ``terms`` the ``effective_terms`` of
+    ``params``, if already built.  ``residual`` is ||L vec(rho)|| of the
+    returned state on the sparse generator, whichever path ran.
     """
+    if terms is None:
+        terms = effective_terms(params)
     if lio is None:
-        lio = build_liouvillian(params)
+        lio = build_liouvillian(params, terms)
+    rho = _population_kernel(params, terms, check_degenerate)
+    if rho is not None:
+        degenerate, path = False, "populations"
+    else:
+        rho, degenerate, path = _lu_kernel(lio, params.dim, check_degenerate)
+    residual = float(np.linalg.norm(lio @ rho.reshape(-1)))
+    return SteadyStateResult(DensityMatrix(rho, params.n_max), residual,
+                             degenerate, path)
+
+
+def _unit_trace(rho: np.ndarray) -> np.ndarray | None:
+    """Hermitian part of rho at unit trace; None if not finite or of trace
+    below 1e-12."""
+    if not np.all(np.isfinite(rho)):
+        return None
+    rho = 0.5 * (rho + rho.conj().T)
+    tr = float(np.real(np.trace(rho)))
+    if abs(tr) < 1e-12:
+        return None
+    return rho / tr
+
+
+def _population_kernel(params: CoolingParams, terms: tuple[np.ndarray, ...],
+                       check_degenerate: bool) -> np.ndarray | None:
+    """Steady state from the dim x dim population system, or None when
+    H_eff has a mode damped below ``DAMPING_FLOOR`` times the fastest, the
+    system is singular, or the kernel is degenerate.
+
+    L(rho) = S(rho) + diag(J p), p = diag rho, with S(rho) = -i (H_eff rho
+    - rho H_eff+).  S is invertible when every mode is damped, so
+    rho = -S^-1(diag J p) and (1 + M J) p = 0 with M[:, k] =
+    diag S^-1(|k><k|).  With H_eff = V diag(lambda) W, W = V^-1, S acts on
+    X = W rho W+ as X_jl -> G_jl X_jl, G_jl = -i (lambda_j - lambda_l*),
+    so M[i, k] = sum_jl V_ij V*_il W_jk W*_lk / G_jl: one GEMM of a
+    dim x dim^2 by a dim^2 x dim matrix.  Since tr S(rho) = -Gamma . diag
+    rho and the columns of J sum to Gamma, Gamma^T (1 + M J) = 0: the row
+    of any state with Gamma > 0 is redundant, and the trace row takes its
+    place.  The row of the fastest-decaying state is replaced, and that of
+    the second fastest in the degeneracy check.
+    """
+    energy, hop, decay, feed = terms
     dim = params.dim
+    lam, vecs = np.linalg.eig(np.diag(energy - 0.5j * decay)
+                              + params.omega_0 * hop)
+    damping = -2.0 * lam.imag
+    if not damping.min() > DAMPING_FLOOR * damping.max():
+        return None
+    with np.errstate(all="ignore"):
+        try:
+            inv = np.linalg.inv(vecs)
+        except np.linalg.LinAlgError:
+            return None
+        g = -1j * (lam[:, None] - lam.conj()[None, :])
+        left = (vecs[:, :, None] * vecs.conj()[:, None, :]).reshape(dim, -1)
+        right = (inv[:, None, :] * inv.conj()[None, :, :]
+                 / g[:, :, None]).reshape(-1, dim)
+        system = np.eye(dim) + (left @ right).real @ feed
+
+    def solve(row: int) -> np.ndarray | None:
+        a = system.copy()
+        a[row] = 1.0
+        with np.errstate(all="ignore"):
+            try:
+                pop = np.linalg.solve(a, np.eye(dim)[row])
+            except np.linalg.LinAlgError:
+                return None
+            q = feed @ pop
+            rho = -(vecs @ ((inv * q) @ inv.conj().T / g) @ vecs.conj().T)
+        return _unit_trace(rho)
+
+    fastest = np.argsort(-decay, kind="stable")
+    rho = solve(fastest[0])
+    if rho is None:
+        return None
+    if check_degenerate:
+        rho2 = solve(fastest[1])
+        if rho2 is None or np.abs(rho - rho2).max() > 1e-6:
+            return None
+    return rho
+
+
+def _lu_kernel(lio: sp.spmatrix, dim: int, check_degenerate: bool
+               ) -> tuple[np.ndarray, bool, str]:
+    """Steady state by sparse LU of the generator with a trace row, or by
+    the dense SVD when that system is singular; see ``steady_state``."""
     coo = lio.tocoo()
     trace_cols = np.arange(dim) * (dim + 1)
 
@@ -294,26 +427,17 @@ def steady_state(params: CoolingParams, lio: sp.spmatrix | None = None,
                     x = splu(a, permc_spec="MMD_AT_PLUS_A").solve(b)
                 except RuntimeError:    # SuperLU: factor is exactly singular
                     return None
-        if not np.all(np.isfinite(x)):
-            return None
-        rho = x.reshape(dim, dim)
-        rho = 0.5 * (rho + rho.conj().T)
-        tr = float(np.real(np.trace(rho)))
-        if abs(tr) < 1e-12:
-            return None
-        return rho / tr
+        return _unit_trace(x.reshape(dim, dim))
 
     rho = solve(0)
     # Singular even with the trace constraint: kernel has dimension > 1.
-    degenerate = rho is None
-    if degenerate:
-        rho = _kernel_state_svd(lio, dim)
-    elif check_degenerate:
+    if rho is None:
+        return _kernel_state_svd(lio, dim), True, "dense_svd"
+    degenerate = False
+    if check_degenerate:
         rho2 = solve(dim * dim - 1)
         degenerate = rho2 is None or bool(np.abs(rho - rho2).max() > 1e-6)
-    residual = float(np.linalg.norm(lio @ rho.reshape(-1)))
-    return SteadyStateResult(DensityMatrix(rho, params.n_max), residual,
-                             degenerate)
+    return rho, degenerate, "sparse_lu"
 
 
 def _kernel_state_svd(lio: sp.spmatrix, dim: int) -> np.ndarray:
@@ -433,8 +557,11 @@ def evolve(params: CoolingParams, rho0: np.ndarray, duration: float,
 
 def thermal_state(params: CoolingParams, n_bar: float) -> np.ndarray:
     """Density matrix of ``thermal_populations`` at ratio n_bar / (n_bar + 1)
-    in the up spin; n_bar <= 0 gives the motional ground state."""
-    ratio = n_bar / (n_bar + 1.0) if n_bar > 0 else 0.0
+    in the up spin; n_bar 0 gives the motional ground state, a negative
+    n_bar raises ``ValueError``."""
+    if not n_bar >= 0:
+        raise ValueError(f"n_bar must be >= 0, got {n_bar}")
+    ratio = n_bar / (n_bar + 1.0)
     rho = np.zeros((params.dim, params.dim), dtype=complex)
     idx = SPIN_UP * params.levels + np.arange(params.levels)
     rho[idx, idx] = thermal_populations(ratio, params.n_max)
@@ -455,8 +582,10 @@ def cooling_map(base: CoolingParams, eta_x_grid: np.ndarray,
                 omega_0_grid: np.ndarray) -> CoolingMap:
     """Steady-state ground population for every (eta_x, omega_0) cell.
 
-    A cell takes one sparse-LU solve: the second, degeneracy-checking solve
-    of ``steady_state`` is skipped.
+    A cell takes one ``steady_state`` solve: the second,
+    degeneracy-checking solve is skipped.  ``decay_rates`` runs once per
+    row, and the sparse generator terms and the H_eff pieces are built
+    from it.
 
     A cell whose solve fails numerically (``LinAlgError``, ``RuntimeError``
     or ``ValueError``) stays NaN and is recorded in ``failures`` as
@@ -470,12 +599,13 @@ def cooling_map(base: CoolingParams, eta_x_grid: np.ndarray,
         # jump rates, dissipator and coupling depend on eta_x only: share
         # them across the Rabi axis
         row_params = replace(base, eta_x=float(ex))
-        fixed, coupling = _generator_terms(row_params)
+        terms = effective_terms(row_params)
+        fixed, coupling = _generator_terms(row_params, terms)
         for j, om in enumerate(omega_0_grid):
             cell = replace(row_params, omega_0=float(om))
             try:
                 res = steady_state(cell, fixed + cell.omega_0 * coupling,
-                                   check_degenerate=False)
+                                   check_degenerate=False, terms=terms)
                 p[i, j] = res.rho.p_ground()
             except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
                 failures.append((i, j, f"{type(exc).__name__}: {exc}"))

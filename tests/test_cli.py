@@ -124,6 +124,7 @@ def test_cool_command(tmp_path):
     meta = json.loads((tmp_path / "cool.json").read_text())
     assert meta["results"]["p_ground"] > 0.9
     assert meta["results"]["residual"] < 1e-10
+    assert meta["results"]["steady_state_path"] == "populations"
 
 
 def test_cool_command_degenerate_kernel(tmp_path):
@@ -135,6 +136,7 @@ def test_cool_command_degenerate_kernel(tmp_path):
     meta = json.loads((tmp_path / "cool.json").read_text())
     assert meta["results"]["degenerate"] is True
     assert meta["results"]["residual"] < 1e-10
+    assert meta["results"]["steady_state_path"] == "dense_svd"
 
 
 def test_cool_command_exits_3_on_a_corrupted_transient(tmp_path, monkeypatch,
@@ -413,6 +415,9 @@ def test_fit_input_that_is_not_a_finite_number_exits_2(tmp_path, capsys,
     ("spectrum", "spectrum.thermal_samples", 0, ">= 1"),
     ("fit", "fit.thermal_samples", 0, ">= 1"),
     ("cool", "cool.evolve_ms", -1, ">= 0"),
+    ("cool", "cool.initial_n_bar", -1, ">= 0"),
+    ("bands", "bands.wannier_span", 0, "> 0"),
+    ("bands", "bands.wannier_span", -1, "> 0"),
 ])
 def test_atom_counts_below_their_bound_exit_2(tmp_path, capsys, command, key,
                                               value, bound):
@@ -422,7 +427,9 @@ def test_atom_counts_below_their_bound_exit_2(tmp_path, capsys, command, key,
     # grid points or list entries wrote a header-only or empty CSV, or
     # failed on the empty result after writing one (exit 3).  No Wannier
     # bands wrote a CSV of the x column only, no thermal nodes failed in
-    # scipy without naming the key, and a negative evolution time ran as 0.
+    # scipy without naming the key, a negative evolution time ran as 0 and
+    # a negative initial n_bar as the ground state.  A Wannier span of 0
+    # wrote every row at x = 0, a negative one an x column running down.
     data = tmp_path / "data.csv"
     data.write_text("detuning_khz,p\n-400,0.1\n-200,0.5\n0,0.2\n")
     section, name = key.split(".")

@@ -156,6 +156,76 @@ def test_steady_state_beyond_the_dense_size():
     assert abs(p20 - p24) < 1e-6
 
 
+@pytest.mark.parametrize("kw", [{}, {"r_up": 2 * math.pi * 1e3}])
+def test_generator_is_effective_hamiltonian_plus_population_feed(kw):
+    # L(rho) = -i (H_eff rho - rho H_eff+) + diag(J diag rho) with
+    # H_eff = H - i Gamma / 2: the split the population reduction rests on
+    p = params(n_max=6, **kw)
+    energy, hop, decay, feed = cooling.effective_terms(p)
+    h_eff = np.diag(energy - 0.5j * decay) + p.omega_0 * hop
+    assert np.allclose(feed.sum(axis=0), decay, rtol=1e-14, atol=0.0)
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(p.dim, p.dim)) + 1j * rng.normal(size=(p.dim, p.dim))
+    rho = a + a.conj().T
+    split = (-1j * (h_eff @ rho - rho @ h_eff.conj().T)
+             + np.diag(feed @ np.diag(rho)))
+    full = (build_liouvillian(p) @ rho.reshape(-1)).reshape(p.dim, p.dim)
+    assert np.abs(split - full).max() < 1e-12
+
+
+def lu_reference(p):
+    """The sparse-LU path on the same generator: state and degeneracy."""
+    lio = build_liouvillian(p)
+    rho, degenerate, path = cooling._lu_kernel(lio, p.dim, True)
+    assert path == "sparse_lu"
+    return rho, degenerate
+
+
+@pytest.mark.parametrize("kw", [
+    # corners of the criterion-09 cooling map
+    *[dict(eta_x=ex, omega_0=2 * math.pi * om, n_max=10)
+      for ex in (0.05, 1.5) for om in (2e3, 120e3)],
+    *[dict(n_max=n) for n in (4, 8, 12, 16, 20)],
+    dict(r_up=2 * math.pi * 1e3, n_max=8),
+    dict(r_up=2 * math.pi * 1.0, n_max=8),
+    dict(r_down=2 * math.pi * 1.0, n_max=10),
+    dict(r_aux=2 * math.pi * 1.0, n_max=10),
+    dict(r_down=2 * math.pi * 1.0, r_aux=2 * math.pi * 1.0, n_max=10),
+])
+def test_population_reduction_matches_sparse_lu(kw):
+    p = params(**kw)
+    result = steady_state(p)
+    rho, degenerate = lu_reference(p)
+    assert result.path == "populations"
+    assert result.degenerate == degenerate
+    assert np.abs(result.rho.matrix - rho).max() <= 1e-9
+    assert result.residual < 1e-12
+
+
+@pytest.mark.parametrize("kw, path", [
+    ({"omega_0": 2 * math.pi * 10.0}, "sparse_lu"),   # 1.7e-9 damping ratio
+    ({"r_down": 0.0}, "sparse_lu"),                   # undamped up/down block
+    ({}, "populations"),                              # operating point
+])
+def test_damping_floor_sends_weak_damping_to_sparse_lu(monkeypatch, kw, path):
+    calls = []
+    original = cooling.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cooling, "splu", counting)
+    p = params(n_max=8, **kw)
+    result = steady_state(p)
+    assert result.path == path
+    assert bool(calls) == (path != "populations")
+    if path == "sparse_lu":
+        rho, degenerate = lu_reference(p)
+        assert np.array_equal(result.rho.matrix, rho)
+        assert result.degenerate == degenerate
+
+
 def test_svd_fallback_refuses_large_state_space():
     p = params(omega_0=0.0, n_max=40)
     n2 = p.dim ** 2
@@ -470,6 +540,13 @@ def test_temperature_extraction():
     assert out["temperature"] * 1e6 == pytest.approx(1.6, abs=0.05)
     with pytest.raises(ValueError):
         temperature_from_sidebands(1.0, 1.0, OMEGA_VIB)
+
+
+def test_thermal_state_rejects_negative_n_bar():
+    p = params(n_max=4)
+    assert thermal_state(p, 0.0)[0, 0] == 1.0
+    with pytest.raises(ValueError, match="n_bar must be >= 0"):
+        thermal_state(p, -0.5)
 
 
 def test_invalid_params_rejected():
