@@ -31,10 +31,36 @@ class BandSolverError(RuntimeError):
 
 # Largest eigen-residual ||H v - eps v|| accepted, relative to max(1, |eps|).
 RESIDUAL_TOL = 1e-9
+# Largest |coefficient| accepted on the outermost two q of either side of
+# any eigenvector when the cutoff is chosen automatically.
+TAIL_TOL = 1e-16
 
 
-def default_q_cutoff(depth: float) -> int:
-    return max(16, math.ceil(2 * math.sqrt(max(depth, 1.0))) + 8)
+def default_q_cutoff(depth: float, n_bands: int = 16) -> int:
+    """Plane-wave cutoff estimated for the lowest ``n_bands`` bands.
+
+    Band n = n_bands - 1 is placed at eps = sqrt(W) (2n + 1), its harmonic
+    level, when that lies below the barrier W, and else at (n + 1)^2 + W,
+    above every band-n energy.  Past the turning point (2q)^2 = eps the
+    central equation's coefficients fall by e^{-kappa_q} per q step, with
+    cosh kappa_q = 1 + 2 ((2q - 1)^2 - eps) / W (2q - 1 is the least
+    |k + 2q| on the grid).  The cutoff is one past the first q at which the
+    kappa_q add up to ln(1 / TAIL_TOL); a free lattice (W = 0) takes the
+    n_bands lowest plane waves and two more on each side.
+    """
+    if not 0 <= depth < math.inf:
+        raise ValueError(f"depth must be finite and >= 0, got {depth}")
+    if depth == 0.0:
+        return math.ceil(n_bands / 2) + 2
+    eps = math.sqrt(depth) * (2 * n_bands - 1)
+    if eps > depth:
+        eps = n_bands ** 2 + depth
+    target, decay, q = -math.log(TAIL_TOL), 0.0, 0
+    while decay < target:
+        q += 1
+        decay += math.acosh(max(1.0, 1.0 + 2.0 * ((2 * q - 1) ** 2 - eps)
+                                / depth))
+    return q + 1
 
 
 @dataclass(frozen=True)
@@ -70,6 +96,12 @@ class BlochSpectrum:
     def plane_wavevectors(self) -> np.ndarray:
         """kappa[j, i] = k_j + 2 q_i, units of k_L."""
         return self.k_grid[:, None] + 2.0 * self.q_values[None, :]
+
+    @property
+    def tail(self) -> float:
+        """Largest |coefficient| on the outermost two q of either side."""
+        edges = self.vectors[..., [0, 1, -2, -1]]
+        return float(np.abs(edges).max())
 
     def band_energy(self, n: int) -> float:
         """BZ-averaged energy of band n (the vibrational level eps_n)."""
@@ -253,7 +285,9 @@ def solve_bands(depth: float, n_bands: int = 16, k_points: int = 64,
     k = 0 once).  Every eigenpair, mirrored ones included, is checked
     against the full tridiagonal operator; a residual above
     ``RESIDUAL_TOL`` (or NaN) raises ``BandSolverError`` naming the band
-    and k, the lowest k first.
+    and k, the lowest k first.  ``q_cutoff`` None starts from
+    ``default_q_cutoff(depth, n_bands)`` and grows it while the spectrum's
+    ``tail`` is not below ``TAIL_TOL`` (``_grow_cutoff``).
     """
     if not 0 <= depth < math.inf:
         raise ValueError(f"depth must be finite and >= 0, got {depth}")
@@ -261,11 +295,17 @@ def solve_bands(depth: float, n_bands: int = 16, k_points: int = 64,
         raise ValueError(f"k_points must be >= 1, got {k_points}")
     if n_bands < 1:
         raise ValueError(f"n_bands must be >= 1, got {n_bands}")
-    if q_cutoff is None:
-        q_cutoff = default_q_cutoff(depth)
+    if q_cutoff is not None:
+        return _solve_bands(depth, n_bands, k_points, q_cutoff)
+    return _grow_cutoff(
+        lambda q: [_solve_bands(depth, n_bands, k_points, q)],
+        default_q_cutoff(depth, n_bands))[0]
+
+
+def _solve_bands(depth: float, n_bands: int, k_points: int,
+                 q_cutoff: int) -> BlochSpectrum:
     if n_bands > 2 * q_cutoff + 1:
         raise ValueError("n_bands exceeds plane-wave basis size")
-
     k_grid = (2.0 * np.arange(k_points) + 1.0 - k_points) / k_points
     solves = [_solve_single_k(k, depth, n_bands, q_cutoff)     # largest first
               for k in k_grid[k_points // 2:][::-1]][::-1]
@@ -284,6 +324,27 @@ def solve_bands(depth: float, n_bands: int = 16, k_points: int = 64,
                               f"tolerance at band {n}, k={k_grid[i]:.4f}")
     return BlochSpectrum(depth=float(depth), n_bands=n_bands, k_grid=k_grid,
                          q_cutoff=q_cutoff, vectors=vectors, energies=energies)
+
+
+def _grow_cutoff(solve, q_cutoff: int) -> list[BlochSpectrum]:
+    """``solve(q)``, a list of spectra on cutoff q, from q = ``q_cutoff`` up
+    until every spectrum's ``tail`` is below ``TAIL_TOL``.
+
+    Each retry grows q by a quarter (at least 2), up to twice its start; a
+    tail that is still not below ``TAIL_TOL`` there raises
+    ``BandSolverError``.
+    """
+    limit = 2 * q_cutoff
+    while True:
+        spectra = solve(q_cutoff)
+        tail = max(s.tail for s in spectra)
+        if tail < TAIL_TOL:
+            return spectra
+        if q_cutoff >= limit:
+            raise BandSolverError(f"plane-wave tail {tail:.2e} not below "
+                                  f"TAIL_TOL {TAIL_TOL:g} at q_cutoff "
+                                  f"{q_cutoff}")
+        q_cutoff = min(limit, q_cutoff + max(2, q_cutoff // 4))
 
 
 def wannier(spectrum: BlochSpectrum, band: int, site: int = 0) -> WannierState:
@@ -315,3 +376,17 @@ def cached_bands(depth: float, n_bands: int = 16, k_points: int = 64,
                  q_cutoff: int | None = None) -> BlochSpectrum:
     """Memoized solve_bands for sweep workloads (spectra are immutable)."""
     return _cached_bands(round(float(depth), 12), n_bands, k_points, q_cutoff)
+
+
+def cached_bands_on_one_cutoff(depths, n_bands: int = 16, k_points: int = 64,
+                               q_cutoff: int | None = None
+                               ) -> list[BlochSpectrum]:
+    """``cached_bands`` of every depth on one plane-wave cutoff, as
+    ``fcf_exact`` needs.  ``q_cutoff`` None starts all of them from
+    ``default_q_cutoff`` of the deepest and grows them together while any
+    spectrum's ``tail`` is not below ``TAIL_TOL``."""
+    def solve(q):
+        return [cached_bands(d, n_bands, k_points, q) for d in depths]
+    if q_cutoff is not None:
+        return solve(q_cutoff)
+    return _grow_cutoff(solve, default_q_cutoff(max(depths), n_bands))

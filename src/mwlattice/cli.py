@@ -344,7 +344,7 @@ def cmd_engineer(cfg: dict, out: Path, rng) -> dict:
 
 
 def cmd_filter(cfg: dict, out: Path, rng) -> dict:
-    _check_counts(cfg, 0, "filter.atoms")
+    _check_counts(cfg, 0, "filter.atoms", "filter.n_bar")
     fl = cfg["filter"]
     f = fl["single_pass_efficiency"]
     reps = fl["repetitions"]

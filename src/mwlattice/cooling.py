@@ -506,12 +506,11 @@ def evolve(params: CoolingParams, rho0: np.ndarray, duration: float,
     complex generator.
 
     A group up to ``DENSE_EIG_LIMIT`` entries is diagonalized with a real
-    ``np.linalg.eig`` once, so the cost does not grow with ``duration``:
-    about 0.2 s at n_max = 10 and 6 s at n_max = 20 (group 1785), one
-    BLAS thread.  A larger group goes to ``expm_multiply`` on its sparse
-    sub-block, whose cost grows with ||L t||_1 (about 8.4e6 for 1 s at
-    n_max = 10).  The accuracy floor is the dense eig's, about 1e-9 on the
-    1 s transient at n_max = 10.
+    ``np.linalg.eig`` once, so the cost does not grow with ``duration``.
+    A larger group goes to ``expm_multiply`` on its sparse sub-block, whose
+    cost grows with ||L t||_1 (about 8.4e6 for 1 s at n_max = 10).  The
+    accuracy floor is the dense eig's, about 1e-9 on the 1 s transient at
+    n_max = 10.
 
     Raises ``ValueError`` for a rho0 that is not (dim, dim) or a negative
     or non-finite duration, and ``RuntimeError`` if the generator is not

@@ -253,9 +253,11 @@ class PopulationDistribution:
     @classmethod
     def thermal(cls, n_bar: float, n_max: int) -> "PopulationDistribution":
         """``lattice.thermal_populations`` at ratio n_bar / (n_bar + 1);
-        n_bar <= 0 gives the ground state."""
-        ratio = n_bar / (n_bar + 1.0) if n_bar > 0 else 0.0
-        return cls(thermal_populations(ratio, n_max))
+        n_bar 0 gives the ground state, a negative n_bar raises
+        ``ValueError``."""
+        if not n_bar >= 0:
+            raise ValueError(f"n_bar must be >= 0, got {n_bar}")
+        return cls(thermal_populations(n_bar / (n_bar + 1.0), n_max))
 
     def cumulative(self, n: int) -> float:
         """F_n = probability of occupying a level below n."""

@@ -69,6 +69,8 @@ class LatticeGeometry:
     polarization_angle: float   # rad
 
     def __post_init__(self):
+        if not 0 < self.lattice_wavelength < math.inf:
+            raise ValueError("lattice_wavelength must be positive and finite")
         if self.depth_up <= 0:
             raise ValueError("depth_up must be positive")
         if not 0.0 <= self.polarization_angle <= math.pi / 2:

@@ -25,7 +25,7 @@ from .lattice import (
     HBAR, KB, AtomConstants, LatticeGeometry, potentials_from_angle,
     recoil_energy, thermal_populations, trap_frequency,
 )
-from .bands import cached_bands, default_q_cutoff
+from .bands import cached_bands_on_one_cutoff
 from .franck_condon import fcf_exact
 
 FOUR_LN2 = 4.0 * math.log(2.0)
@@ -179,14 +179,14 @@ def system_from_potentials(w_up: float, w_down: float, u_down_tot: float,
                            lattice_wavelength: float, n_max: int = 15,
                            k_points: int = 64,
                            q_cutoff: int | None = None) -> SidebandSystem:
-    """SidebandSystem from raw per-spin parameters (fit parameterization)."""
-    if q_cutoff is None:
-        q_cutoff = default_q_cutoff(max(w_up, w_down))
+    """SidebandSystem from raw per-spin parameters (fit parameterization).
+
+    Both spins' bands share one plane-wave cutoff, ``q_cutoff`` or the
+    automatic one of the deeper (``cached_bands_on_one_cutoff``).
+    """
     n_bands = n_max + 1
-    spec_up = cached_bands(w_up, n_bands=n_bands, k_points=k_points,
-                           q_cutoff=q_cutoff)
-    spec_down = cached_bands(w_down, n_bands=n_bands, k_points=k_points,
-                             q_cutoff=q_cutoff)
+    spec_up, spec_down = cached_bands_on_one_cutoff(
+        (w_up, w_down), n_bands=n_bands, k_points=k_points, q_cutoff=q_cutoff)
     er_w = recoil_energy(atom, lattice_wavelength) / HBAR   # E_R in rad/s
     u_up_tot = -w_up
     eps_up = (u_up_tot + np.array([spec_up.band_energy(n)
@@ -638,7 +638,6 @@ def _thermal_systems(w_up: float, w_down: float, u_down_tot: float,
     frequency; 0 at T <= 0), is one entry weighted by node weight times
     population.
     """
-    q_cut = default_q_cutoff(w_up) if cfg.q_cutoff is None else cfg.q_cutoff
     if t2d > 0.0:
         u, w = roots_laguerre(cfg.thermal_samples)
         w_joule = w_up * recoil_energy(atom, lattice_wavelength)
@@ -652,7 +651,7 @@ def _thermal_systems(w_up: float, w_down: float, u_down_tot: float,
         system = system_from_potentials(
             w_up * g, w_down * g, u_down_tot * g, dx, atom,
             lattice_wavelength, n_max=cfg.n_max, k_points=cfg.k_points,
-            q_cutoff=q_cut)
+            q_cutoff=cfg.q_cutoff)
         omega = trap_frequency(w_up * g, atom, lattice_wavelength)
         ratio = math.exp(-HBAR * omega / (KB * t_ax)) if t_ax > 0 else 0.0
         pops = thermal_populations(ratio, cfg.n_max)

@@ -11,6 +11,7 @@ from scipy.linalg import eigh_tridiagonal
 from mwlattice import bands
 from mwlattice.bands import (BandSolverError, cached_bands, solve_bands,
                              wannier, wannier_overlap)
+from mwlattice.franck_condon import fcf_exact
 
 
 def hermite_basis_levels(depth, n_levels, n_basis=160, span=0.5):
@@ -223,8 +224,9 @@ def test_wannier_factored_matches_direct_sum(depth):
 def test_wannier_deep_lattice_on_projection_grid(site):
     """The deep lattice of the projection-heating checks, 8000 E_R, where
     the powers of e^{2ix} run up to q_cutoff = 187; on projection
-    heating's 4001-point grid over +-6 d."""
-    spec = cached_bands(8000.0, n_bands=2, k_points=16)
+    heating's 4001-point grid over +-6 d (the cutoff set explicitly: the
+    automatic one of two bands is far smaller)."""
+    spec = cached_bands(8000.0, n_bands=2, k_points=16, q_cutoff=187)
     assert spec.q_cutoff == 187
     x = np.linspace(-6 * math.pi, 6 * math.pi, 4001)
     for n in range(2):
@@ -308,3 +310,100 @@ def test_lapack_failure_raises_instead_of_returning_garbage():
         bands._lapack_lowest(np.ones(3), np.zeros(2), 4)
     with pytest.raises(ValueError, match="off \\(N - 1,\\)"):
         bands._lapack_lowest(np.ones(3), np.zeros(3), 1)
+
+
+def split_bands(depth, k_points, q_cutoff, n_bands=16):
+    """How many of the lowest ``n_bands`` bands are split from both
+    neighbours by more than 1e-6 E_R at every k, counting from band 0.
+
+    An odd k grid holds k = 0, where bands 2m - 1 and 2m of a shallow
+    lattice meet to within rounding: their eigenvectors are then any
+    rotation within the pair, on every cutoff, and their Wannier states
+    and Franck-Condon factors are not defined to the bits compared here.
+    """
+    gaps = np.diff(solve_bands(depth, n_bands=n_bands + 1, k_points=k_points,
+                               q_cutoff=q_cutoff).energies, axis=1).min(axis=0)
+    above = gaps > 1e-6                       # band n from band n + 1
+    split = above & np.concatenate(([True], above[:-1]))
+    return n_bands if split.all() else int(np.argmin(split))
+
+
+@pytest.mark.parametrize("depth", [0.0, 1.0, 100.0, 650.0, 850.0, 8000.0])
+@pytest.mark.parametrize("k_points", [15, 16])
+def test_automatic_cutoff_matches_the_depth_rule(depth, k_points):
+    """The cutoff derived from the bands' tails against the depth-only rule
+    max(16, ceil(2 sqrt W) + 8) that preceded it: energies within the two
+    solves' bisection tolerances (LAPACK's dstebz stops at ulp times the
+    Gershgorin norm, at most (2 q + 1)^2 + W, of each truncated matrix),
+    Franck-Condon tables within 1e-14 and Wannier values within 1e-13."""
+    q_fixed = max(16, math.ceil(2 * math.sqrt(max(depth, 1.0))) + 8)
+    auto = solve_bands(depth, n_bands=16, k_points=k_points)
+    fixed = solve_bands(depth, n_bands=16, k_points=k_points,
+                        q_cutoff=q_fixed)
+    assert auto.q_cutoff < q_fixed
+    assert auto.tail < bands.TAIL_TOL
+    bound = 2 * np.finfo(float).eps * ((2 * q_fixed + 1) ** 2 + depth)
+    assert np.abs(auto.energies - fixed.energies).max() <= bound
+
+    m = split_bands(depth, k_points, q_fixed)
+    assert m == 16 or (k_points % 2 and depth <= 100.0)
+    auto = solve_bands(depth, n_bands=m, k_points=k_points)
+    fixed = solve_bands(depth, n_bands=m, k_points=k_points, q_cutoff=q_fixed)
+    shift = 0.137
+    assert np.abs(fcf_exact(auto, auto, shift).matrix
+                  - fcf_exact(fixed, fixed, shift).matrix).max() <= 1e-14
+    x = np.linspace(-3 * math.pi, 3 * math.pi, 601)
+    for n in range(m):
+        for site in (0, 1):
+            assert np.abs(wannier(auto, n, site)(x)
+                          - wannier(fixed, n, site)(x)).max() <= 1e-13
+
+
+def test_default_q_cutoff_estimates_the_requested_bands():
+    # one argument, as the benchmark calls it, covers 16 bands
+    assert bands.default_q_cutoff(850.0) == bands.default_q_cutoff(850.0, 16)
+    assert [bands.default_q_cutoff(850.0, n) for n in (1, 14, 16)] == [27, 34,
+                                                                       36]
+    assert bands.default_q_cutoff(8000.0, 24) == 62
+    assert bands.default_q_cutoff(0.0, 16) == 10
+    # the least subnormal depth, whose half is 0, estimates as the free
+    # lattice (it divided by that half)
+    assert bands.default_q_cutoff(5e-324, 16) == 10
+    for depth in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            bands.default_q_cutoff(depth)
+
+
+def test_a_short_estimate_is_grown_until_the_tails_pass(monkeypatch):
+    monkeypatch.setattr(bands, "default_q_cutoff", lambda depth, n_bands: 20)
+    seen = []
+    solve = bands._solve_bands
+
+    def recording(depth, n_bands, k_points, q_cutoff):
+        seen.append(q_cutoff)
+        return solve(depth, n_bands, k_points, q_cutoff)
+
+    monkeypatch.setattr(bands, "_solve_bands", recording)
+    spec = solve_bands(850.0, n_bands=4, k_points=8)
+    assert seen == [20, 25, 31]
+    assert spec.q_cutoff == 31 and spec.tail < bands.TAIL_TOL
+    ref = solve_bands(850.0, n_bands=4, k_points=8, q_cutoff=31)
+    assert np.array_equal(spec.vectors, ref.vectors)
+
+
+def test_a_tail_that_growing_cannot_cure_raises(monkeypatch):
+    # a tail that stays at 1: the cutoff grows to twice its estimate, then
+    # stops
+    monkeypatch.setattr(bands.BlochSpectrum, "tail", property(lambda s: 1.0))
+    q0 = bands.default_q_cutoff(850.0, 4)
+    with pytest.raises(BandSolverError, match=(
+            f"tail 1.00e\\+00 not below TAIL_TOL 1e-16 at q_cutoff {2 * q0}")):
+        solve_bands(850.0, n_bands=4, k_points=8)
+    with pytest.raises(BandSolverError, match="not below TAIL_TOL"):
+        bands.cached_bands_on_one_cutoff((850.0, 640.0), n_bands=4,
+                                         k_points=8)
+
+
+def test_an_explicit_cutoff_skips_the_tail_check():
+    spec = solve_bands(850.0, n_bands=4, k_points=8, q_cutoff=16)
+    assert spec.q_cutoff == 16 and spec.tail > bands.TAIL_TOL

@@ -205,6 +205,8 @@ TINY_FIT = {"n_max": 5, "k_points": 8, "thermal_samples": 1,
      "fcf.bands = 6 and the harmonic oracle's 4 levels need "
      "solver.n_max >= 5, got 2"),
     ("bands", {"solver": {"k_points": 0}}, "k_points must be >= 1, got 0"),
+    ("fcf", {"lattice": {"wavelength_nm": -865.95}},
+     "lattice_wavelength must be positive and finite"),
     ("spectrum", dict(TINY_SPECTRUM, spectrum=dict(
         TINY_SPECTRUM["spectrum"], time_step_s=-1e-6)),
      "time step must be finite and > 0, got -1e-06"),
@@ -222,7 +224,8 @@ TINY_FIT = {"n_max": 5, "k_points": 8, "thermal_samples": 1,
 ], ids=["fock_m_above_n_max", "fock_m_negative", "superposition_n_max_1",
         "engineer_n_max_negative", "cool_n_max_negative",
         "fcf_n_max_below_oracle", "fcf_n_max_below_bands",
-        "bands_k_points_zero", "spectrum_time_step_negative",
+        "bands_k_points_zero", "fcf_wavelength_negative",
+        "spectrum_time_step_negative",
         "spectrum_time_step_zero", "spectrum_fwhm_zero",
         "fit_time_step_negative", "fit_time_step_zero", "fit_fwhm_zero"])
 def test_out_of_range_input_exits_3(tmp_path, capsys, command, block, value):
@@ -418,6 +421,7 @@ def test_fit_input_that_is_not_a_finite_number_exits_2(tmp_path, capsys,
     ("cool", "cool.initial_n_bar", -1, ">= 0"),
     ("bands", "bands.wannier_span", 0, "> 0"),
     ("bands", "bands.wannier_span", -1, "> 0"),
+    ("filter", "filter.n_bar", -1, ">= 0"),
 ])
 def test_atom_counts_below_their_bound_exit_2(tmp_path, capsys, command, key,
                                               value, bound):
@@ -428,8 +432,9 @@ def test_atom_counts_below_their_bound_exit_2(tmp_path, capsys, command, key,
     # failed on the empty result after writing one (exit 3).  No Wannier
     # bands wrote a CSV of the x column only, no thermal nodes failed in
     # scipy without naming the key, a negative evolution time ran as 0 and
-    # a negative initial n_bar as the ground state.  A Wannier span of 0
-    # wrote every row at x = 0, a negative one an x column running down.
+    # a negative initial or filter n_bar as the ground state.  A Wannier
+    # span of 0 wrote every row at x = 0, a negative one an x column
+    # running down.
     data = tmp_path / "data.csv"
     data.write_text("detuning_khz,p\n-400,0.1\n-200,0.5\n0,0.2\n")
     section, name = key.split(".")

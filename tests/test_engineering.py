@@ -165,6 +165,15 @@ def test_thermal_distribution_cumulative():
     assert dist.cumulative(0) == 0.0
 
 
+def test_thermal_distribution_rejects_a_negative_n_bar():
+    # a negative n_bar was taken as the ground state
+    assert PopulationDistribution.thermal(0.0, 4).p.tolist() == [1, 0, 0, 0,
+                                                                 0]
+    for n_bar in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="n_bar must be >= 0"):
+            PopulationDistribution.thermal(n_bar, 4)
+
+
 def test_filter_survival_limits():
     dist = PopulationDistribution.thermal(1.0, 12)
     # perfect filter, one pass: survival = F_n exactly

@@ -103,6 +103,9 @@ def test_lamb_dicke_momentum_component():
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         LatticeGeometry(865.95, -1.0, 0.0)
+    for wavelength in (-865.95, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="lattice_wavelength"):
+            LatticeGeometry(wavelength, 850.0, 0.0)
     with pytest.raises(ValueError):
         LatticeGeometry(865.95, 850.0, -0.1)
     with pytest.raises(ValueError):

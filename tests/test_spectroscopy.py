@@ -819,3 +819,29 @@ def test_default_tolerances_stop_within_a_thousandth_of_a_stderr(atoms):
     assert fit.diagnostics["nfev"] <= tight.nfev
     for name, want in zip(FIT_NAMES, tight.x * scale):
         assert abs(fit.params[name] - want) <= 1e-3 * fit.stderr[name]
+
+
+def test_system_from_potentials_puts_both_spins_on_one_cutoff(monkeypatch):
+    # the estimate of the deeper spin serves both; a tail that fails on
+    # either spin grows both together
+    calls = []
+    cached = bands.cached_bands
+
+    def recording(depth, n_bands, k_points, q_cutoff):
+        calls.append((depth, q_cutoff))
+        return cached(depth, n_bands, k_points, q_cutoff)
+
+    monkeypatch.setattr(bands, "cached_bands", recording)
+    args = (640.0, 850.0, -900.0, 0.1, ATOM, 865.95)
+    system = system_from_potentials(*args, n_max=5, k_points=8)
+    q = bands.default_q_cutoff(850.0, 6)
+    assert calls == [(640.0, q), (850.0, q)]
+
+    calls.clear()
+    monkeypatch.setattr(bands, "default_q_cutoff", lambda depth, n_bands: 20)
+    grown = system_from_potentials(*args, n_max=5, k_points=8)
+    assert calls == [(640.0, 20), (850.0, 20), (640.0, 25), (850.0, 25),
+                     (640.0, 31), (850.0, 31)]
+    fixed = system_from_potentials(*args, n_max=5, k_points=8, q_cutoff=31)
+    assert np.array_equal(grown.fc_matrix, fixed.fc_matrix)
+    assert np.abs(grown.fc_matrix - system.fc_matrix).max() < 1e-14
