@@ -2,13 +2,13 @@
 
 Subcommands: bands, fcf, spectrum, fit, cool, coolmap, engineer, filter.
 Common flags: --config <json>, --out <dir>, --seed <u64>, --emit-config.
-Exit codes: 0 success, 2 config error (including a config key that is not
-in the schema and a fit input value that is not a finite number), 3 solver
-error (including a NaN or infinite result, which is named and leaves no
-<command>.json, and a fit that leaves a parameter's stderr at
-``FIT_STDERR_BOUND`` times its magnitude or above).  Outputs are
-deterministic for a fixed config and seed (fixed float formatting, sorted
-JSON keys, no timestamps).
+Exit codes: 0 success; 2 config error: a key not in the schema or a value
+outside its domain (``config.DOMAINS``), before any file is written, or a
+fit input value that is not a finite number; 3 solver error: keys that fail
+only together (``fcf.bands`` above ``solver.n_max + 1``), a NaN or infinite
+result (named, no <command>.json) or a fit stderr at ``FIT_STDERR_BOUND``
+times its parameter or above.  Outputs are deterministic for a fixed config
+and seed (fixed float formatting, sorted JSON keys, no timestamps).
 """
 
 from __future__ import annotations
@@ -50,11 +50,6 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
                header=",".join(header), comments="")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               allow_nan=False) + "\n")
-
-
 def _check_finite(value, path: str = "results") -> None:
     """Raise SolverFailure naming the first NaN or infinity in a result."""
     if isinstance(value, dict):
@@ -76,39 +71,17 @@ def _geometry(cfg: dict, angle: float | None = None) -> LatticeGeometry:
     )
 
 
-def _check_counts(cfg: dict, bound: int, *keys: str) -> None:
-    """ConfigError naming the first of ``keys`` ("section.name") whose value
-    is below ``bound``, or is an empty list."""
-    for key in keys:
-        section, name = key.split(".")
-        value = cfg[section][name]
-        if isinstance(value, list) and not value:
-            raise ConfigError(f"'{key}' must be a non-empty list")
-        if not isinstance(value, list) and value < bound:
-            raise ConfigError(f"'{key}' must be >= {bound}")
-
-
-def _q_cutoff(cfg: dict) -> int | None:
-    q = cfg["solver"]["q_cutoff"]
-    if q is not None and q != int(q):
-        raise ConfigError("'solver.q_cutoff' must be an integer or null")
-    return int(q) if q is not None else None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_bands(cfg: dict, out: Path, rng) -> dict:
-    _check_counts(cfg, 1, "bands.wannier_points", "bands.wannier_bands")
-    if not cfg["bands"]["wannier_span"] > 0:
-        raise ConfigError("'bands.wannier_span' must be > 0")
     sol = cfg["solver"]
     depth = cfg["bands"]["depth"]
     if depth is None:
         depth = cfg["lattice"]["depth_up"]
     spec = solve_bands(float(depth), n_bands=sol["n_max"] + 1,
-                       k_points=sol["k_points"], q_cutoff=_q_cutoff(cfg))
+                       k_points=sol["k_points"], q_cutoff=sol["q_cutoff"])
     headers = ["k"] + [f"eps_{n}" for n in range(spec.n_bands)]
     _write_csv(out / "bands.csv", headers,
                [spec.k_grid] + [spec.energies[:, n] for n in range(spec.n_bands)])
@@ -116,9 +89,7 @@ def cmd_bands(cfg: dict, out: Path, rng) -> dict:
     nw = min(cfg["bands"]["wannier_bands"], spec.n_bands)
     span = cfg["bands"]["wannier_span"] * math.pi
     x = np.linspace(-span, span, cfg["bands"]["wannier_points"])
-    cols = [x / math.pi]
-    for n in range(nw):
-        cols.append(np.real(wannier(spec, n)(x)))
+    cols = [x / math.pi] + [np.real(wannier(spec, n)(x)) for n in range(nw)]
     _write_csv(out / "wannier.csv", ["x_over_d"] + [f"w_{n}" for n in range(nw)],
                cols)
     return {
@@ -134,13 +105,12 @@ def cmd_fcf(cfg: dict, out: Path, rng) -> dict:
     geom = _geometry(cfg)
     sol = cfg["solver"]
     n_max, n_bands = sol["n_max"], cfg["fcf"]["bands"]
-    _check_counts(cfg, 1, "fcf.bands", "fcf.n_shifts")
     if n_max + 1 < max(n_bands, 4):
         raise ValueError(
             f"fcf.bands = {n_bands} and the harmonic oracle's 4 levels need "
             f"solver.n_max >= {max(n_bands, 4) - 1}, got {n_max}")
     spec = solve_bands(geom.depth_up, n_bands=n_max + 1,
-                       k_points=sol["k_points"], q_cutoff=_q_cutoff(cfg))
+                       k_points=sol["k_points"], q_cutoff=sol["q_cutoff"])
     d_nm = geom.spacing
     shifts_nm = np.linspace(0.0, cfg["fcf"]["max_shift_nm"],
                             cfg["fcf"]["n_shifts"])
@@ -165,15 +135,11 @@ def cmd_fcf(cfg: dict, out: Path, rng) -> dict:
 
 
 def cmd_spectrum(cfg: dict, out: Path, rng) -> dict:
-    _check_counts(cfg, 1, "spectrum.n_detunings",
-                  "spectrum.polarization_angles", "spectrum.thermal_samples")
-    _check_counts(cfg, 0, "spectrum.atoms_per_point")
     atom = cesium()
-    sp = cfg["spectrum"]
+    sp, sol = cfg["spectrum"], cfg["solver"]
     scfg = SpectroscopyConfig(
-        n_max=cfg["solver"]["n_max"], k_points=cfg["solver"]["k_points"],
-        q_cutoff=_q_cutoff(cfg), thermal_samples=sp["thermal_samples"],
-        dt=sp["time_step_s"])
+        n_max=sol["n_max"], k_points=sol["k_points"], q_cutoff=sol["q_cutoff"],
+        thermal_samples=sp["thermal_samples"], dt=sp["time_step_s"])
     pulse = gaussian_pi_pulse(sp["pulse_fwhm_us"] * 1e-6)
     detunings = 2 * math.pi * 1e3 * np.linspace(
         sp["detuning_min_khz"], sp["detuning_max_khz"], sp["n_detunings"])
@@ -205,7 +171,6 @@ def cmd_fit(cfg: dict, out: Path, rng) -> dict:
     ft = cfg["fit"]
     if not ft["input_csv"]:
         raise ConfigError("'fit.input_csv' is required")
-    _check_counts(cfg, 1, "fit.atoms_per_point", "fit.thermal_samples")
     atoms = ft["atoms_per_point"]
     raw = np.genfromtxt(ft["input_csv"], delimiter=",", names=True,
                         deletechars="")
@@ -224,7 +189,7 @@ def cmd_fit(cfg: dict, out: Path, rng) -> dict:
 
     scfg = SpectroscopyConfig(
         n_max=ft["n_max"], k_points=ft["k_points"], dt=ft["time_step_s"],
-        q_cutoff=_q_cutoff(cfg), thermal_samples=ft["thermal_samples"])
+        q_cutoff=cfg["solver"]["q_cutoff"], thermal_samples=ft["thermal_samples"])
     pulse = gaussian_pi_pulse(ft["pulse_fwhm_us"] * 1e-6)
     result = fit_spectrum(detunings, observed, sigma, dict(ft["guess"]),
                           w_up=cfg["lattice"]["depth_up"], atom=atom,
@@ -257,7 +222,6 @@ def _cooling_params(cfg: dict) -> cooling.CoolingParams:
 
 
 def cmd_cool(cfg: dict, out: Path, rng) -> dict:
-    _check_counts(cfg, 0, "cool.evolve_ms", "cool.initial_n_bar")
     params = _cooling_params(cfg)
     terms = cooling.effective_terms(params)
     lio = cooling.build_liouvillian(params, terms)
@@ -284,7 +248,6 @@ def cmd_cool(cfg: dict, out: Path, rng) -> dict:
 
 
 def cmd_coolmap(cfg: dict, out: Path, rng) -> dict:
-    _check_counts(cfg, 1, "coolmap.eta_x_points", "coolmap.coupling_points")
     params = _cooling_params(cfg)
     cm = cfg["coolmap"]
     eta_grid = np.linspace(cm["eta_x_min"], cm["eta_x_max"], cm["eta_x_points"])
@@ -314,13 +277,10 @@ def cmd_engineer(cfg: dict, out: Path, rng) -> dict:
     model = engineering.HarmonicModel(omega_vib=omega_vib, n_max=eng["n_max"])
     task = eng["task"]
     if task == "superposition":
-        _check_counts(cfg, 1, "engineer.pulse_areas")
-        areas = np.asarray(eng["pulse_areas"], dtype=float)
-        p0 = np.empty_like(areas)
-        p2 = np.empty_like(areas)
-        for i, a in enumerate(areas):
-            st = engineering.superposition_sequence(model, float(a))
-            p0[i], p2[i] = st.fidelity("down", 0), st.fidelity("down", 2)
+        areas = eng["pulse_areas"]
+        states = [engineering.superposition_sequence(model, a) for a in areas]
+        p0 = [st.fidelity("down", 0) for st in states]
+        p2 = [st.fidelity("down", 2) for st in states]
         _write_csv(out / "engineer.csv", ["area", "p_down_0", "p_down_2"],
                    [areas, p0, p2])
         return {"task": task,
@@ -331,20 +291,16 @@ def cmd_engineer(cfg: dict, out: Path, rng) -> dict:
         _write_csv(out / "engineer.csv", ["n", "p_down"],
                    [np.arange(model.n_max + 1), state.populations("down")])
         return {"task": task, "m": m, "fidelity": fidelity}
-    if task == "coherent":
-        eta = float(eng["coherent_eta_x"])
-        pops, expected = engineering.prepare_coherent(model, eta)
-        _write_csv(out / "engineer.csv", ["n", "p_up", "poisson"],
-                   [np.arange(model.n_max + 1), pops, expected])
-        mean = float(np.sum(np.arange(model.n_max + 1) * pops))
-        return {"task": task, "eta_x": eta, "mean_n": mean,
-                "expected_mean_n": eta ** 2}
-    raise ConfigError(f"'engineer.task' must be superposition, fock or "
-                      f"coherent, got '{task}'")
+    eta = float(eng["coherent_eta_x"])      # task "coherent"
+    pops, expected = engineering.prepare_coherent(model, eta)
+    _write_csv(out / "engineer.csv", ["n", "p_up", "poisson"],
+               [np.arange(model.n_max + 1), pops, expected])
+    mean = float(np.sum(np.arange(model.n_max + 1) * pops))
+    return {"task": task, "eta_x": eta, "mean_n": mean,
+            "expected_mean_n": eta ** 2}
 
 
 def cmd_filter(cfg: dict, out: Path, rng) -> dict:
-    _check_counts(cfg, 0, "filter.atoms", "filter.n_bar")
     fl = cfg["filter"]
     f = fl["single_pass_efficiency"]
     reps = fl["repetitions"]
@@ -421,7 +377,8 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     payload = {"command": args.command, "seed": args.seed,
                "config": cfg, "results": meta}
-    _write_json(out / f"{args.command}.json", payload)
+    (out / f"{args.command}.json").write_text(json.dumps(
+        payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return 0
 
 

@@ -2,7 +2,8 @@
 
 The schema is the nested ``DEFAULTS`` tree.  User configs are merged over it;
 any key not present in the tree is rejected by name (explicit over
-permissive), and scalar types must match the default's type.
+permissive), scalar types must match the default's type, and every value
+must lie in its key's domain (``DOMAINS``).
 """
 
 from __future__ import annotations
@@ -104,6 +105,39 @@ DEFAULTS: dict = {
 }
 
 
+#: Value domain of every key as (rule, test, keys): a list must be non-empty
+#: with each entry inside, a null-default key takes null or a value inside.
+DOMAINS = (
+    (">= 1", lambda v: v >= 1, """solver.k_points bands.wannier_bands
+        bands.wannier_points fcf.n_shifts fcf.bands spectrum.n_detunings
+        spectrum.thermal_samples fit.atoms_per_point fit.thermal_samples
+        fit.k_points coolmap.eta_x_points coolmap.coupling_points
+        filter.repetitions""".split()),
+    (">= 0", lambda v: v >= 0, """solver.n_max solver.q_cutoff bands.depth
+        spectrum.temperature_2d_uk spectrum.atoms_per_point fit.n_max
+        cool.eta_x cool.eta_k cool.coupling_khz cool.pump_down_khz
+        cool.pump_aux_khz cool.pump_up_khz cool.n_max cool.initial_n_bar
+        cool.evolve_ms coolmap.eta_x_min coolmap.eta_x_max
+        coolmap.coupling_min_khz coolmap.coupling_max_khz engineer.pulse_areas
+        engineer.fock_m engineer.coherent_eta_x engineer.n_max filter.n_bar
+        filter.n_max filter.atoms""".split()),
+    ("> 0", lambda v: v > 0, """lattice.wavelength_nm lattice.depth_up
+        bands.wannier_span spectrum.pulse_fwhm_us spectrum.radial_frequency_hz
+        spectrum.time_step_s fit.pulse_fwhm_us fit.time_step_s""".split()),
+    ("in [0, 1]", lambda v: 0 <= v <= 1, ["filter.single_pass_efficiency"]),
+    ("in (0, 1]", lambda v: 0 < v <= 1, ["filter.loss_per_repetition"]),
+    ("in [0, pi/2]", lambda v: 0 <= v <= math.pi / 2,
+     ["lattice.polarization_angle", "spectrum.polarization_angles"]),
+    ("superposition, fock or coherent",
+     lambda v: v in ("superposition", "fock", "coherent"), ["engineer.task"]),
+    # either sign by design; ``spectroscopy._fit_problem`` bounds the guess
+    ("unbounded by design", lambda v: True, """spectrum.detuning_min_khz
+        spectrum.detuning_max_khz fcf.max_shift_nm fit.guess.dx
+        fit.guess.w_down fit.guess.du_tot fit.guess.t2d""".split()),
+)
+_DOMAIN = {key: (rule, test) for rule, test, keys in DOMAINS for key in keys}
+
+
 def _number(value) -> bool:
     """An int or a finite float (JSON's NaN and Infinity), not a bool."""
     return (isinstance(value, int) and not isinstance(value, bool)
@@ -121,25 +155,32 @@ def _validate(user, default, path):
             merged[key] = _validate(val, default[key], path + key + ".")
         return merged
     loc = path.rstrip(".")
-    if default is None:
-        if user is not None and not _number(user):
-            raise ConfigError(f"'{loc}' must be a finite number or null")
-        return user
-    if isinstance(default, (int, float)):
-        if not _number(user):
-            raise ConfigError(f"'{loc}' must be a finite number")
-        if isinstance(default, int) and user != int(user):
-            raise ConfigError(f"'{loc}' must be an integer")
-        return type(default)(user)
+    null = " or null" if default is None else ""
     if isinstance(default, str):
         if not isinstance(user, str):
             raise ConfigError(f"'{loc}' must be a string")
-        return user
-    if isinstance(default, list):
+        value = user
+    elif isinstance(default, list):
         if not isinstance(user, list) or not all(map(_number, user)):
             raise ConfigError(f"'{loc}' must be a list of finite numbers")
-        return [float(v) for v in user]
-    raise ConfigError(f"unsupported schema entry at '{loc}'")
+        if not user:
+            raise ConfigError(f"'{loc}' must be a non-empty list")
+        value = [float(v) for v in user]
+    elif user is None and default is None:
+        return None
+    elif not _number(user):
+        raise ConfigError(f"'{loc}' must be a finite number{null}")
+    elif isinstance(default, int) or loc == "solver.q_cutoff":
+        if user != int(user):
+            raise ConfigError(f"'{loc}' must be an integer{null}")
+        value = int(user)
+    else:
+        value = user if default is None else float(user)
+    rule, inside = _DOMAIN.get(loc, ("", lambda v: True))
+    for v in value if isinstance(value, list) else [value]:
+        if not inside(v):
+            raise ConfigError(f"'{loc}' must be {rule}{null}, got {v!r}")
+    return value
 
 
 def resolve(user: dict | None) -> dict:

@@ -279,9 +279,11 @@ def filter_survival(dist: PopulationDistribution, n: int, f: float,
     """Survival probability after filtering out levels >= n.
 
     Levels below n are untouched (survive); levels >= n are transferred and
-    pushed out with probability f' = 1-(1-f)^N.  ``loss_per_pass`` models
-    off-resonant losses multiplicatively per repetition.
+    pushed out with probability f' = 1-(1-f)^N.  ``loss_per_pass``, the
+    survival of one repetition's off-resonant losses, must lie in (0, 1].
     """
+    if not 0.0 < loss_per_pass <= 1.0:
+        raise ValueError(f"need 0 < loss_per_pass <= 1, got {loss_per_pass}")
     f_prime = effective_efficiency(f, repetitions)
     fn = dist.cumulative(n)
     return (fn + (1.0 - f_prime) * (1.0 - fn)) * loss_per_pass ** repetitions

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,8 @@ import pytest
 
 import mwlattice
 from mwlattice.cli import main
-from mwlattice.config import ConfigError, DEFAULTS, dumps, load_config, resolve
+from mwlattice.config import (ConfigError, DEFAULTS, DOMAINS, dumps,
+                              load_config, resolve)
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
@@ -51,6 +53,88 @@ def test_partial_override_keeps_defaults():
     cfg = resolve({"cool": {"eta_x": 0.5}})
     assert cfg["cool"]["eta_x"] == 0.5
     assert cfg["cool"]["eta_k"] == DEFAULTS["cool"]["eta_k"]
+
+
+def config_leaves(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, prefix + key + ".")
+        else:
+            yield prefix + key
+
+
+def nested(key, value):
+    """The config {section: {...: {name: value}}} of a dotted key."""
+    for name in reversed(key.split(".")):
+        value = {name: value}
+    return value
+
+
+def leaf(tree, key):
+    for name in key.split("."):
+        tree = tree[name]
+    return tree
+
+
+# Keys without a value domain, each with its reason.
+DOMAIN_EXEMPT = {
+    # a path; "" means missing, and `fit` rejects it (exit 2) before any
+    # work, while every other command ignores it
+    "fit.input_csv",
+}
+
+
+def test_every_config_key_has_one_domain():
+    listed = [key for _, _, keys in DOMAINS for key in keys]
+    assert sorted(listed) == sorted(set(listed))        # no key twice
+    assert set(listed) == set(config_leaves(DEFAULTS)) - DOMAIN_EXEMPT
+
+
+TINY = 5e-324                   # the smallest positive float
+# For every bounded domain: values on its edges, and values just outside.
+# An integer key's values just outside are rounded down to integers.
+DOMAIN_EDGES = {
+    ">= 1": ([1], [0]),
+    ">= 0": ([0], [-TINY]),
+    "> 0": ([TINY], [0]),
+    "in [0, 1]": ([0, 1], [-TINY, math.nextafter(1, 2)]),
+    "in (0, 1]": ([TINY, 1], [0, math.nextafter(1, 2)]),
+    "in [0, pi/2]": ([0, math.pi / 2],
+                     [-TINY, math.nextafter(math.pi / 2, 2)]),
+    "superposition, fock or coherent": (
+        ["superposition", "fock", "coherent"], ["", "Fock", "teleport"]),
+}
+
+
+@pytest.mark.parametrize("rule", DOMAIN_EDGES)
+def test_domain_edges_are_accepted_and_values_past_them_rejected(rule):
+    (keys,) = [keys for r, _, keys in DOMAINS if r == rule]
+    for key in keys:
+        inside, outside = DOMAIN_EDGES[rule]
+        default = leaf(DEFAULTS, key)
+        if isinstance(default, int) or key == "solver.q_cutoff":
+            outside = [math.floor(v) for v in outside]
+        if default is None:
+            inside = inside + [None]
+        for value in inside:
+            given = [value] if isinstance(default, list) else value
+            assert leaf(resolve(nested(key, given)), key) == given
+        for value in outside:
+            given = [value] if isinstance(default, list) else value
+            with pytest.raises(ConfigError,
+                               match=re.escape(f"'{key}' must be {rule}")):
+                resolve(nested(key, given))
+
+
+def test_readme_configs_resolve():
+    # every <<'JSON' heredoc of the README is a config inside the schema
+    # and the domains
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    configs = re.findall(r"<<'JSON'\n(.*?)\nJSON\n", readme.read_text(),
+                         re.S)
+    assert len(configs) >= 2
+    for text in configs:
+        resolve(json.loads(text))
 
 
 def test_load_config_missing_file(tmp_path):
@@ -189,50 +273,21 @@ TINY_FIT = {"n_max": 5, "k_points": 8, "thermal_samples": 1,
                       "t2d": 1e-5}}
 
 
+# Values that each key's domain allows but that fail together; a value
+# outside one key's domain exits 2 (test_atom_counts_below_their_bound_exit_2).
 @pytest.mark.parametrize("command, block, value", [
     ("engineer", {"engineer": {"task": "fock", "fock_m": 20, "n_max": 4}},
      "(0, 20)"),
-    ("engineer", {"engineer": {"task": "fock", "fock_m": -1}},
-     "m must be >= 0, got -1"),
     ("engineer", {"engineer": {"task": "superposition", "n_max": 1}},
      "got 1"),
-    ("engineer", {"engineer": {"task": "coherent", "n_max": -1}},
-     "got -1"),
-    ("cool", {"cool": {"n_max": -1}}, "got -1"),
     ("fcf", {"solver": {"n_max": 2, "k_points": 8},
              "fcf": {"bands": 3, "n_shifts": 3}}, "solver.n_max >= 3, got 2"),
     ("fcf", {"solver": {"n_max": 2, "k_points": 8}},
      "fcf.bands = 6 and the harmonic oracle's 4 levels need "
      "solver.n_max >= 5, got 2"),
-    ("bands", {"solver": {"k_points": 0}}, "k_points must be >= 1, got 0"),
-    ("fcf", {"lattice": {"wavelength_nm": -865.95}},
-     "lattice_wavelength must be positive and finite"),
-    ("spectrum", dict(TINY_SPECTRUM, spectrum=dict(
-        TINY_SPECTRUM["spectrum"], time_step_s=-1e-6)),
-     "time step must be finite and > 0, got -1e-06"),
-    ("spectrum", dict(TINY_SPECTRUM, spectrum=dict(
-        TINY_SPECTRUM["spectrum"], time_step_s=0)),
-     "time step must be finite and > 0, got 0"),
-    ("spectrum", {"spectrum": {"pulse_fwhm_us": 0.0}},
-     "gaussian pulse needs fwhm > 0, got 0.0"),
-    ("fit", {"fit": dict(TINY_FIT, time_step_s=-1e-6)},
-     "time step must be finite and > 0, got -1e-06"),
-    ("fit", {"fit": dict(TINY_FIT, time_step_s=0.0)},
-     "time step must be finite and > 0, got 0.0"),
-    ("fit", {"fit": dict(TINY_FIT, pulse_fwhm_us=0.0)},
-     "gaussian pulse needs fwhm > 0, got 0.0"),
-], ids=["fock_m_above_n_max", "fock_m_negative", "superposition_n_max_1",
-        "engineer_n_max_negative", "cool_n_max_negative",
-        "fcf_n_max_below_oracle", "fcf_n_max_below_bands",
-        "bands_k_points_zero", "fcf_wavelength_negative",
-        "spectrum_time_step_negative",
-        "spectrum_time_step_zero", "spectrum_fwhm_zero",
-        "fit_time_step_negative", "fit_time_step_zero", "fit_fwhm_zero"])
+], ids=["fock_m_above_n_max", "superposition_n_max_1",
+        "fcf_n_max_below_oracle", "fcf_n_max_below_bands"])
 def test_out_of_range_input_exits_3(tmp_path, capsys, command, block, value):
-    if command == "fit":
-        data = tmp_path / "data.csv"
-        data.write_text("detuning_khz,p\n-1,0.1\n0,0.5\n1,0.2\n")
-        block = {"fit": dict(block["fit"], input_csv=str(data))}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(block))
     assert run_cli([command, "--config", str(cfg),
@@ -422,6 +477,34 @@ def test_fit_input_that_is_not_a_finite_number_exits_2(tmp_path, capsys,
     ("bands", "bands.wannier_span", 0, "> 0"),
     ("bands", "bands.wannier_span", -1, "> 0"),
     ("filter", "filter.n_bar", -1, ">= 0"),
+    # these exited 3 from the library's own checks, after --out was made
+    pytest.param("engineer", "engineer.fock_m", -1, ">= 0",
+                 id="fock_m_negative"),
+    pytest.param("engineer", "engineer.n_max", -1, ">= 0",
+                 id="engineer_n_max_negative"),
+    pytest.param("cool", "cool.n_max", -1, ">= 0", id="cool_n_max_negative"),
+    pytest.param("bands", "solver.k_points", 0, ">= 1",
+                 id="bands_k_points_zero"),
+    pytest.param("fcf", "lattice.wavelength_nm", -865.95, "> 0",
+                 id="fcf_wavelength_negative"),
+    pytest.param("spectrum", "spectrum.time_step_s", -1e-6, "> 0 or null",
+                 id="spectrum_time_step_negative"),
+    pytest.param("spectrum", "spectrum.time_step_s", 0, "> 0 or null",
+                 id="spectrum_time_step_zero"),
+    pytest.param("spectrum", "spectrum.pulse_fwhm_us", 0.0, "> 0",
+                 id="spectrum_fwhm_zero"),
+    pytest.param("fit", "fit.time_step_s", -1e-6, "> 0",
+                 id="fit_time_step_negative"),
+    pytest.param("fit", "fit.time_step_s", 0.0, "> 0",
+                 id="fit_time_step_zero"),
+    pytest.param("fit", "fit.pulse_fwhm_us", 0.0, "> 0", id="fit_fwhm_zero"),
+    # these exited 0 with a wrong answer
+    ("spectrum", "spectrum.temperature_2d_uk", -10, ">= 0"),
+    ("filter", "filter.loss_per_repetition", 1.5, "in (0, 1]"),
+    ("cool", "cool.eta_k", -0.1, ">= 0"),
+    ("coolmap", "coolmap.eta_x_min", -1, ">= 0"),
+    ("engineer", "engineer.coherent_eta_x", -1, ">= 0"),
+    ("bands", "lattice.polarization_angle", 3.0, "in [0, pi/2]"),
 ])
 def test_atom_counts_below_their_bound_exit_2(tmp_path, capsys, command, key,
                                               value, bound):
@@ -434,7 +517,9 @@ def test_atom_counts_below_their_bound_exit_2(tmp_path, capsys, command, key,
     # scipy without naming the key, a negative evolution time ran as 0 and
     # a negative initial or filter n_bar as the ground state.  A Wannier
     # span of 0 wrote every row at x = 0, a negative one an x column
-    # running down.
+    # running down.  A negative 2-D temperature ran as 0 K, a filter loss
+    # above 1 gave survivals above 1, and a negative Lamb-Dicke parameter or
+    # a polarization angle past pi/2 ran as given.
     data = tmp_path / "data.csv"
     data.write_text("detuning_khz,p\n-400,0.1\n-200,0.5\n0,0.2\n")
     section, name = key.split(".")
@@ -448,8 +533,7 @@ def test_atom_counts_below_their_bound_exit_2(tmp_path, capsys, command, key,
     out = tmp_path / "out"
     assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"'{key}' must be {bound}" in capsys.readouterr().err
-    assert not (out / f"{command}.json").exists()
-    assert not list(out.iterdir())      # no file written
+    assert not out.exists()             # rejected before --out is made
 
 
 @pytest.mark.parametrize("key", ["n_shifts", "bands"])
@@ -629,14 +713,6 @@ class ReadRecorder(dict):
 
     def __iter__(self):
         return super().__iter__()
-
-
-def config_leaves(tree, prefix=""):
-    for key, value in tree.items():
-        if isinstance(value, dict):
-            yield from config_leaves(value, prefix + key + ".")
-        else:
-            yield prefix + key
 
 
 # Config keys that no command reads, each with its reason.

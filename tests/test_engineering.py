@@ -184,6 +184,19 @@ def test_filter_survival_limits():
     assert filter_survival(dist, 2, 0.0, 5) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_filter_survival_needs_a_loss_factor_in_0_1():
+    # a factor above 1 gave probabilities above 1 (1.50 and 2.31 at the
+    # default filter and loss 1.5); 0 would leave nothing to reconstruct
+    dist = PopulationDistribution.thermal(1.33, 15)
+    # n = 0 filters every level: only the 0.3^3 the passes miss survive
+    for loss in (1.0, 0.9, 5e-324):
+        assert filter_survival(dist, 0, 0.7, 3, loss_per_pass=loss) == \
+            pytest.approx(0.3 ** 3 * loss ** 3, rel=1e-12)
+    for loss in (1.5, math.nextafter(1.0, 2.0), 0.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="need 0 < loss_per_pass <= 1"):
+            filter_survival(dist, 1, 0.7, 3, loss_per_pass=loss)
+
+
 def test_reconstruction_round_trip_exact():
     dist = PopulationDistribution.thermal(1.33, 12)
     plateaus = np.array([filter_survival(dist, n, 0.7, 3)
