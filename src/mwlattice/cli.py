@@ -320,7 +320,8 @@ def cmd_filter(cfg: dict, out: Path, rng) -> dict:
         headers.append("survival_sampled")
         cols.append(used)
     rec = engineering.reconstruct_distribution(used, f=f, repetitions=reps,
-                                               ceiling=loss ** reps)
+                                               ceiling=loss ** reps,
+                                               atoms=atoms)
     _write_csv(out / "filter.csv", headers, cols)
     _write_csv(out / "filter_reconstructed.csv", ["n", "p"],
                [np.arange(rec.p.size), rec.p])

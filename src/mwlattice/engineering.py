@@ -24,7 +24,7 @@ from scipy.special import roots_laguerre
 from .franck_condon import fcf_harmonic_matrix
 from .lattice import thermal_populations
 from .spectroscopy import (PulseSpec, SidebandSystem, SpinMotionState,
-                           _spin_block, propagate_detunings)
+                           _spin_block, binomial_sigma, propagate_detunings)
 
 # Linear-chirp Landau-Zener sweep of ``prepare_fock``, adiabatic when the
 # exponent pi (K * peak_rabi)^2 duration / (2 sweep) >> 1 for the sideband
@@ -36,8 +36,10 @@ FOCK_CHIRP = PulseSpec("adiabatic_chirp", peak_rabi=2 * math.pi * 8e3,
 SUPERPOSITION_RABI = 2 * math.pi * 10e3
 
 # Largest drop between successive plateaus ``reconstruct_distribution``
-# clips as noise instead of rejecting.
+# clips as noise instead of rejecting: ``NOISE_TOLERANCE``, or for sampled
+# plateaus ``NOISE_SIGMAS`` binomial standard errors of the drop if larger.
 NOISE_TOLERANCE = 0.05
+NOISE_SIGMAS = 4.0
 
 # ---------------------------------------------------------------------------
 # sequences
@@ -113,6 +115,19 @@ def pulse_unitary(model: HarmonicModel, pulse: PulseSpec,
                                dt=model.dt).T
 
 
+def _resonant(model: HarmonicModel, pulse: PulseSpec,
+              target: tuple[int, int]) -> PulseSpec:
+    """``pulse`` resonant with target = (n_up, n_down): detuning
+    (n_up - n_down) omega_vib.  A level outside 0..n_max raises."""
+    n_up, n_down = target
+    if not (0 <= n_up <= model.n_max and 0 <= n_down <= model.n_max):
+        raise ValueError(f"pulse target {target} outside the "
+                         f"levels 0..{model.n_max}")
+    # float for float energy[n_up] - energy[n_down] of model.system
+    return replace(pulse, detuning=n_up * model.omega_vib
+                   - n_down * model.omega_vib)
+
+
 def run_sequence(initial: SequenceState, pulses: list[MicrowavePulse],
                  model: HarmonicModel) -> SequenceState:
     """Apply the pulses in order, rho -> U rho U^dagger; returns the final
@@ -126,13 +141,7 @@ def run_sequence(initial: SequenceState, pulses: list[MicrowavePulse],
     """
     rho = initial.rho.copy()
     for step in pulses:
-        n_up, n_down = step.target
-        if not (0 <= n_up <= model.n_max and 0 <= n_down <= model.n_max):
-            raise ValueError(f"pulse target {step.target} outside the "
-                             f"levels 0..{model.n_max}")
-        # float for float energy[n_up] - energy[n_down] of model.system
-        detuning = n_up * model.omega_vib - n_down * model.omega_vib
-        u = pulse_unitary(model, replace(step.pulse, detuning=detuning),
+        u = pulse_unitary(model, _resonant(model, step.pulse, step.target),
                           step.eta_x)
         rho = u @ rho @ u.conj().T
     return SequenceState(rho, initial.n_max)
@@ -171,13 +180,24 @@ def zero_coupling_shift(model: HarmonicModel, n: int) -> float:
 def prepare_fock(model: HarmonicModel, m: int) -> tuple[SequenceState, float]:
     """|up,0> -> |down,m> by adiabatic passage (``FOCK_CHIRP``) on the m-th
     sideband at the coupling-maximizing shift sqrt(m), where the coupling
-    is never zero.  Returns (final state, fidelity)."""
-    if m < 0:
-        raise ValueError(f"Fock level m must be >= 0, got {m}")
-    pulse = MicrowavePulse(FOCK_CHIRP, (0, m),
-                           coupling_maximizing_shift(model, 0, m))
-    state = run_sequence(SequenceState.pure(model.n_max, "up", 0), [pulse],
-                         model)
+    is never zero.  Returns (final state, fidelity).
+
+    The one-pulse ``run_sequence`` from |up,0>, without its unitary: only
+    |up,0> is propagated (``propagate_detunings`` at the same detuning and
+    ``model.dt``) and rho = |psi><psi|.  An m outside 0..n_max raises
+    ``ValueError``.
+    """
+    pulse = _resonant(model, FOCK_CHIRP, (0, m))
+    psi = propagate_detunings(
+        model.system(coupling_maximizing_shift(model, 0, m)), pulse,
+        SpinMotionState.basis(model.n_max, "up", 0), [pulse.detuning],
+        dt=model.dt)[0]
+    # rho = |psi><psi| by run_sequence's last GEMM, U rho U^dagger with U
+    # reduced to its |up,0> column (the rest does not enter), so the
+    # populations keep their bits; np.outer rounds some differently.
+    column = np.zeros((psi.size, psi.size), dtype=complex)
+    column[:, 0] = psi
+    state = SequenceState(column @ column.conj().T, model.n_max)
     return state, state.fidelity("down", m)
 
 
@@ -291,14 +311,18 @@ def filter_survival(dist: PopulationDistribution, n: int, f: float,
 
 def reconstruct_distribution(plateaus: np.ndarray, f: float = 1.0,
                              repetitions: int = 1,
-                             ceiling: float | None = None
-                             ) -> PopulationDistribution:
+                             ceiling: float | None = None,
+                             atoms: int = 0) -> PopulationDistribution:
     """Invert plateau survivals S_n (n = 0 .. n_max+1) back to populations.
 
     S_n = ceiling * (F_n + (1-f')(1-F_n)); p_n = F_{n+1} - F_n.  A ceiling
     below 1 (off-resonant loss) is divided out; if not given it is taken
     from the last plateau (where F = 1).  Negative differences beyond
     ``NOISE_TOLERANCE`` raise; smaller ones are clipped with a warning.
+    Plateaus sampled from ``atoms`` atoms each (0: exact) widen the bound
+    of each difference to ``NOISE_SIGMAS`` binomial standard errors of
+    S_{n+1} - S_n (``spectroscopy.binomial_sigma``), over ceiling * f',
+    where that is larger.
     """
     s = np.asarray(plateaus, dtype=float)
     if s.ndim != 1 or s.size < 2:
@@ -312,7 +336,12 @@ def reconstruct_distribution(plateaus: np.ndarray, f: float = 1.0,
         raise ValueError("ceiling must be positive")
     fn = (s / ceiling - (1.0 - f_prime)) / f_prime
     diffs = np.diff(fn)
-    if (diffs < -NOISE_TOLERANCE).any():
+    bound = NOISE_TOLERANCE
+    if atoms > 0:
+        var = binomial_sigma(s * atoms, atoms) ** 2
+        bound = np.maximum(bound, NOISE_SIGMAS * np.sqrt(var[1:] + var[:-1])
+                           / (ceiling * f_prime))
+    if (diffs < -bound).any():
         raise ValueError("plateaus decrease with n beyond the noise tolerance")
     if (diffs < 0).any():
         warnings.warn("clipping small negative population estimates",

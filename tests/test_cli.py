@@ -316,6 +316,15 @@ def test_filter_rounds_the_reconstruction_error(tmp_path, atoms):
     assert (error == 0.0) if atoms == 0 else (0.01 < error < 0.5)
 
 
+def test_sampled_filter_reconstructs_at_every_seed(tmp_path, recwarn):
+    # seed 5 drew a plateau drop of 0.06 past the fixed NOISE_TOLERANCE
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"filter": {"atoms": 150}}))
+    for seed in range(1, 50):
+        assert run_cli(["filter", "--config", str(cfg), "--seed", str(seed),
+                        "--out", str(tmp_path / str(seed))]) == 0, seed
+
+
 @pytest.mark.parametrize("command, text, key", [
     ("spectrum", '{"spectrum": {"pulse_fwhm_us": Infinity}}',
      "spectrum.pulse_fwhm_us"),

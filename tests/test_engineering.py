@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq, minimize_scalar
 
-from mwlattice.engineering import (HarmonicModel, MicrowavePulse,
+from mwlattice.engineering import (FOCK_CHIRP, HarmonicModel, MicrowavePulse,
                                    PopulationDistribution, SequenceState,
                                    coupling_maximizing_shift,
                                    effective_efficiency, filter_survival,
@@ -16,7 +17,8 @@ from mwlattice.engineering import (HarmonicModel, MicrowavePulse,
                                    zero_coupling_shift)
 from mwlattice.franck_condon import displacement_element
 from mwlattice.spectroscopy import (PulseSpec, SidebandSystem, SpinMotionState,
-                                    evolve_pulse, gaussian_pi_pulse)
+                                    binomial_sigma, evolve_pulse,
+                                    gaussian_pi_pulse, propagate_detunings)
 
 MODEL = HarmonicModel(omega_vib=2 * math.pi * 116.73e3, n_max=10)
 
@@ -131,6 +133,61 @@ def test_fock_preparation_m2():
     assert fid > 0.99
 
 
+def fock_by_run_sequence(model, m):
+    """``prepare_fock``'s state through the pulse unitary: the one-pulse
+    ``run_sequence`` from |up,0>."""
+    pulse = MicrowavePulse(FOCK_CHIRP, (0, m), math.sqrt(m))
+    return run_sequence(SequenceState.pure(model.n_max, "up", 0), [pulse],
+                        model)
+
+
+def test_midpoint_error_control_reads_the_unitary():
+    # |up,0> alone passes the doubling test at 512 steps, 1.5e-5 off its
+    # column of the pulse unitary in populations (at n_max 6, 8, 10, 15)
+    model = HarmonicModel(omega_vib=MODEL.omega_vib, n_max=6)
+    pulse = replace(FOCK_CHIRP,
+                    detuning=0 * model.omega_vib - 2 * model.omega_vib)
+    psi = propagate_detunings(model.system(math.sqrt(2)), pulse,
+                              SpinMotionState.basis(6, "up", 0),
+                              [pulse.detuning])[0]
+    assert np.array_equal(psi, pulse_unitary(model, pulse, math.sqrt(2))[:, 0])
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_fock_state_at_an_explicit_step_matches_the_unitary_path(m):
+    # The bench's model: 40k Strang steps.  One column and the 32 columns
+    # of the unitary round differently (3.6e-13 at most); both traces
+    # drift off 1 alike, by up to 3.5e-11.
+    model = HarmonicModel(omega_vib=MODEL.omega_vib, n_max=15, dt=1e-7)
+    state, fid = prepare_fock(model, m)
+    ref = fock_by_run_sequence(model, m)
+    got, want = np.real(np.diag(state.rho)), np.real(np.diag(ref.rho))
+    assert np.abs(got - want).max() < 1e-12
+    assert abs(fid - ref.fidelity("down", m)) < 1e-12
+    assert fid > 0.999
+    trace = float(np.real(np.trace(state.rho)))
+    assert abs(trace - float(np.real(np.trace(ref.rho)))) < 1e-12
+    assert abs(trace - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5])
+def test_fock_state_at_the_automatic_step_keeps_the_bits(m):
+    # |psi><psi| by np.outer is off in the last bit at every m here, and
+    # by a one-column GEMM at m 1, 2 and 5
+    model = HarmonicModel(omega_vib=MODEL.omega_vib, n_max=6)
+    state, fid = prepare_fock(model, m)
+    ref = fock_by_run_sequence(model, m)
+    assert np.array_equal(np.real(np.diag(state.rho)),
+                          np.real(np.diag(ref.rho)))
+    assert fid == ref.fidelity("down", m)
+
+
+@pytest.mark.parametrize("m", [-1, 11])
+def test_fock_level_outside_the_ladder_raises(m):
+    with pytest.raises(ValueError, match=rf"\(0, {m}\) outside the levels"):
+        prepare_fock(MODEL, m)
+
+
 def test_prepare_coherent_mean():
     pops, expected = prepare_coherent(MODEL, 1.2)
     assert np.sum(np.arange(11) * pops) == pytest.approx(1.44, rel=1e-3)
@@ -227,6 +284,36 @@ def test_reconstruction_clips_small_noise_with_warning():
     with pytest.warns(UserWarning):
         rec = reconstruct_distribution(plateaus, f=1.0)
     assert np.all(rec.p >= 0)
+
+
+def plateaus_with_a_drop(sigmas, atoms):
+    """Exact thermal plateaus (n_bar 1.33, f 0.7, 3 passes) with S_3
+    moved below S_2 by ``sigmas`` binomial standard errors of S_3 - S_2 at
+    ``atoms`` atoms a plateau."""
+    dist = PopulationDistribution.thermal(1.33, 15)
+    s = np.array([filter_survival(dist, n, 0.7, 3) for n in range(17)])
+
+    def excess(s3):
+        sigma = binomial_sigma(np.array([s[2], s3]) * atoms, atoms)
+        return (s[2] - s3) / np.hypot(*sigma) - sigmas
+
+    s[3] = brentq(excess, 0.0, s[2])
+    return s
+
+
+def test_reconstruction_bound_widens_with_the_sampling_noise():
+    # 3 sigma at 150 atoms is a drop of 0.11 in F, past NOISE_TOLERANCE
+    within = plateaus_with_a_drop(3.0, 150)
+    with pytest.raises(ValueError, match="noise tolerance"):
+        reconstruct_distribution(within, f=0.7, repetitions=3, ceiling=1.0)
+    with pytest.warns(UserWarning):
+        rec = reconstruct_distribution(within, f=0.7, repetitions=3,
+                                       ceiling=1.0, atoms=150)
+    assert rec.p[2] == 0.0
+    beyond = plateaus_with_a_drop(10.0, 150)
+    with pytest.raises(ValueError, match="noise tolerance"):
+        reconstruct_distribution(beyond, f=0.7, repetitions=3, ceiling=1.0,
+                                 atoms=150)
 
 
 def test_population_distribution_validation():
