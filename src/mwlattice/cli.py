@@ -6,9 +6,11 @@ Exit codes: 0 success; 2 config error: a key not in the schema or a value
 outside its domain (``config.DOMAINS``), before any file is written, or a
 fit input value that is not a finite number; 3 solver error: keys that fail
 only together (``fcf.bands`` above ``solver.n_max + 1``), a NaN or infinite
-result (named, no <command>.json) or a fit stderr at ``FIT_STDERR_BOUND``
-times its parameter or above.  Outputs are deterministic for a fixed config
-and seed (fixed float formatting, sorted JSON keys, no timestamps).
+result (named, no <command>.json), a fit input with no value at
+``spectroscopy.PEAK_MIN_HEIGHT`` or above (before any forward pass) or a
+fit stderr at ``FIT_STDERR_BOUND`` times its parameter or above.  Outputs
+are deterministic for a fixed config and seed (fixed float formatting,
+sorted JSON keys, no timestamps).
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from .config import ConfigError, dumps, load_config
 from .franck_condon import displacement_element, fcf_exact
 from .lattice import (cesium, ground_state_width, LatticeGeometry,
                       potentials_from_angle, trap_frequency)
-from .spectroscopy import (SpectroscopyConfig, binomial_sigma, fit_spectrum,
-                           gaussian_pi_pulse, simulate_spectra)
+from .spectroscopy import (PEAK_MIN_HEIGHT, SpectroscopyConfig,
+                           binomial_sigma, fit_spectrum, gaussian_pi_pulse,
+                           simulate_spectra)
 
 
 class SolverFailure(RuntimeError):
@@ -185,6 +188,10 @@ def cmd_fit(cfg: dict, out: Path, rng) -> dict:
                 f"finite number in data row {bad[0] + 1}")
     detunings = 2 * math.pi * 1e3 * np.asarray(raw["detuning_khz"], dtype=float)
     observed = np.asarray(raw[names[1]], dtype=float)
+    if not observed.max() >= PEAK_MIN_HEIGHT:
+        raise SolverFailure(
+            f"fit input CSV {ft['input_csv']}: no peak to fit, its largest "
+            f"value {observed.max():.6g} is below {PEAK_MIN_HEIGHT:g}")
     sigma = binomial_sigma(np.round(observed * atoms), atoms)
 
     scfg = SpectroscopyConfig(

@@ -582,6 +582,11 @@ class SpectrumPeak:
     height: float
 
 
+# Least transfer that ``SpectrumResult.locate_peaks`` counts as a peak by
+# default; ``mwlattice fit`` rejects a spectrum with no point this high.
+PEAK_MIN_HEIGHT = 0.02
+
+
 @dataclass
 class SpectrumResult:
     """Transfer probability vs microwave detuning."""
@@ -589,7 +594,7 @@ class SpectrumResult:
     detunings: np.ndarray     # rad/s
     transfer: np.ndarray      # [0, 1]
 
-    def locate_peaks(self, min_height: float = 0.02,
+    def locate_peaks(self, min_height: float = PEAK_MIN_HEIGHT,
                      prominence: float = 0.02) -> list[SpectrumPeak]:
         from scipy.signal import find_peaks   # its import pulls in scipy.stats
         idx, _ = find_peaks(self.transfer, height=min_height,
@@ -749,8 +754,9 @@ def binomial_sigma(successes: np.ndarray, trials: int) -> np.ndarray:
 @dataclass
 class FitResult:
     """Fitted parameters and their errors.  ``diagnostics`` holds the
-    optimizer's ``nfev``, ``njev`` and ``status``, ``chi2_dof`` and the
-    condition number ``cond_jtj`` of J^T J of the scaled problem."""
+    optimizer's ``nfev``, ``njev`` and ``status``, ``chi2_dof``, the
+    condition number ``cond_jtj`` of J^T J of the scaled problem and the
+    estimated distance to the minimum ``edm`` at the end (``fit_spectrum``)."""
 
     params: dict[str, float]
     stderr: dict[str, float]
@@ -761,10 +767,23 @@ class FitResult:
 
 
 # Relative finite-difference step of the fit's Jacobian (least_squares'
-# ``diff_step``).
-DIFF_STEP = 1e-4
+# ``diff_step``).  At the start of the benchmark's fit, against 3-point
+# central differences at relative step 1e-4, the 2-point columns at 1e-4
+# were off by 4.0e-4 (dx), 1.6e-2 (w_down), 4.0e-3 (du_tot) and 1.1e-2
+# (t2d) of each column's largest entry; at 1e-6 by 4.4e-6, 1.6e-4, 3.9e-5
+# and 1.0e-4, near the reference's own truncation error.
+DIFF_STEP = 1e-6
+
+# Estimated distance to the minimum below which the fit stops: every
+# parameter is then within sqrt(2 FIT_EDM) = 1e-3 standard errors of it.
+FIT_EDM = 5e-7
 
 FIT_NAMES = ("dx", "w_down", "du_tot", "t2d")
+
+# Least scale of each parameter of FIT_NAMES, in its own unit (d, E_R,
+# E_R, K): a guess larger in magnitude scales to +-1, and a zero guess keeps
+# scipy's finite fallback step, sqrt(eps) times the floor.
+FIT_SCALE_FLOOR = np.array([1e-3, 1e-3, 1e-3, 1e-9])
 
 
 def _fit_problem(detunings: np.ndarray, observed: np.ndarray,
@@ -773,14 +792,15 @@ def _fit_problem(detunings: np.ndarray, observed: np.ndarray,
                  pulse: PulseSpec, cfg: SpectroscopyConfig):
     """(residuals, stacked, z0, lower, scale) of the scaled fit problem.
 
-    The parameters are z = theta / scale.  ``stacked(fun, points)`` is the
-    ``workers`` map of ``least_squares``: it ignores ``fun`` and returns
+    The parameters are z = theta / scale, scale = max(|guess|,
+    ``FIT_SCALE_FLOOR``).  ``stacked(fun, points)`` is the ``workers`` map
+    of ``least_squares``: it ignores ``fun`` and returns
     ``[residuals(p) for p in points]``, with the thermal states of every
     point in one stacked Strang loop, so the perturbed points of scipy's
     '2-point' Jacobian run together.
     """
     x0 = np.array([initial_guess[k] for k in FIT_NAMES], dtype=float)
-    scale = np.array([max(abs(v), 1e-3) for v in x0])
+    scale = np.maximum(np.abs(x0), FIT_SCALE_FLOOR)
     lower = np.array([0.0, 1.0, -np.inf, 0.0]) / scale
 
     def states(z):
@@ -799,6 +819,15 @@ def _fit_problem(detunings: np.ndarray, observed: np.ndarray,
     return residuals, stacked, x0 / scale, lower, scale
 
 
+def _edm(jac: np.ndarray, residuals: np.ndarray) -> float:
+    """Estimated distance to the minimum, |J delta|^2 / 2 with delta the
+    Gauss-Newton step lstsq(J, -residuals): the cost above the minimum of
+    the linearized model (MINUIT's EDM; James and Roos, Comput. Phys.
+    Commun. 10, 343 (1975))."""
+    step = np.linalg.lstsq(jac, -residuals, rcond=None)[0]
+    return 0.5 * float(np.sum((jac @ step) ** 2))
+
+
 def fit_spectrum(detunings: np.ndarray, observed: np.ndarray,
                  sigma: np.ndarray, initial_guess: dict[str, float],
                  w_up: float, atom: AtomConstants, lattice_wavelength: float,
@@ -813,9 +842,19 @@ def fit_spectrum(detunings: np.ndarray, observed: np.ndarray,
     costs one pass of the stacked loop rather than four objective calls.
     The sigma are absolute errors, so the covariance is inv(J^T J), widened
     by chi^2/dof when that exceeds 1 (the model fits worse than the errors
-    allow) and never narrowed.  It stops at scipy's default tolerances, once
-    a step is below 1e-8 of the scaled parameters (about 1) or lowers chi^2
-    by under 1e-8 of it: 1e5 times below a relative stderr of 1e-3 or more.
+    allow) and never narrowed.
+
+    It stops once the estimated distance to the minimum (``_edm``) at an
+    iterate is below ``FIT_EDM``: with sigma_i the unwidened stderr, the
+    Gauss-Newton step delta obeys |delta_i| <= sigma_i sqrt(2 EDM), so
+    every parameter is within 1e-3 stderr of the minimum of the linearized
+    model.  The EDM is that of the Jacobian scipy evaluated at the iterate,
+    rebuilt from the last call of the ``workers`` map by scipy's own
+    formula; an iterate whose last map call was not that Jacobian is not
+    tested.  Near an active bound the unconstrained step overestimates the
+    EDM, so the test errs toward running on; scipy's default tolerances
+    (1e-8) stop the fit when it does not fire.  ``diagnostics["edm"]`` is
+    the EDM of the returned point.
     """
     detunings = np.asarray(detunings, dtype=float)
     observed = np.asarray(observed, dtype=float)
@@ -823,9 +862,27 @@ def fit_spectrum(detunings: np.ndarray, observed: np.ndarray,
     residuals, stacked, z0, lower, scale = _fit_problem(
         detunings, observed, sigma, initial_guess, w_up, atom,
         lattice_wavelength, pulse, cfg)
-    res = least_squares(residuals, z0, diff_step=DIFF_STEP, workers=stacked,
-                        bounds=(lower, np.inf), max_nfev=max_nfev)
+    last = []               # the points and residuals of the last map call
+
+    def recorded(fun, points):
+        points = list(points)
+        last[:] = [np.array(points), stacked(fun, points)]
+        return last[1]
+
+    def edm_stop(intermediate_result):
+        x, f = intermediate_result.x, intermediate_result.fun
+        points, values = last
+        if not np.array_equal(points != x, np.eye(x.size, dtype=bool)):
+            return
+        jac = (np.array(values) - f).T / (np.diag(points) - x)
+        if _edm(jac, f) < FIT_EDM:
+            raise StopIteration
+
+    res = least_squares(residuals, z0, diff_step=DIFF_STEP, workers=recorded,
+                        bounds=(lower, np.inf), max_nfev=max_nfev,
+                        callback=edm_stop)
     theta = res.x * scale
+    edm = _edm(res.jac, res.fun)
     # covariance from J^T J of the scaled problem (z = theta / scale), whose
     # conditioning the units do not distort; flag degeneracy instead of
     # crashing.  cov(theta) = diag(scale) cov(z) diag(scale).
@@ -837,11 +894,15 @@ def fit_spectrum(detunings: np.ndarray, observed: np.ndarray,
     except np.linalg.LinAlgError:
         err = np.full(4, np.nan)
     cond = float(np.linalg.cond(jtj))
-    message = res.message + (" [degenerate Jacobian]" if cond > 1e12 else "")
+    message = (f"estimated distance to minimum {edm:.3g} is below FIT_EDM = "
+               f"{FIT_EDM:g}" if res.status == -2 else res.message)
+    message += " [degenerate Jacobian]" if cond > 1e12 else ""
     return FitResult(params=dict(zip(FIT_NAMES, theta)),
                      stderr=dict(zip(FIT_NAMES, err)),
-                     cost=float(res.cost), success=res.status > 0,
+                     cost=float(res.cost),
+                     success=res.status > 0 or res.status == -2,
                      message=message,
                      diagnostics={"nfev": int(res.nfev), "njev": int(res.njev),
                                   "status": int(res.status),
-                                  "chi2_dof": chi2_dof, "cond_jtj": cond})
+                                  "chi2_dof": chi2_dof, "cond_jtj": cond,
+                                  "edm": edm})

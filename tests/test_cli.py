@@ -432,13 +432,38 @@ def test_null_default_keys_take_numbers_only(tmp_path, capsys, block, key):
         "spectrum"]["time_step_s"] == 3e-7
 
 
-def test_fit_of_an_empty_spectrum_exits_3(tmp_path, capsys):
-    # an all-zero spectrum determines none of the parameters: the fit
-    # converges, with stderrs 1e8 times the values and more
+def test_fit_of_an_empty_spectrum_exits_3(tmp_path, capsys, monkeypatch):
+    # a spectrum with no point at the peak height, all zero or with three
+    # points at 0.015 (a 200-atom draw of a spectrum that the fit misread),
+    # exits before any forward pass
+    from mwlattice import cli
+    monkeypatch.setattr(cli, "fit_spectrum", None)     # never called
     detunings = np.linspace(-400.0, 0.0, 40)
-    data = tmp_path / "zeros.csv"
+    cfg = tmp_path / "cfg.json"
+    for largest in (0.0, 0.015):
+        values = np.zeros(40)
+        values[[5, 17, 30]] = largest
+        data = tmp_path / "low.csv"
+        data.write_text("detuning_khz,p\n" + "".join(
+            f"{d:.12g},{v:.12g}\n" for d, v in zip(detunings, values)))
+        cfg.write_text(json.dumps({"fit": dict(TINY_FIT,
+                                               input_csv=str(data))}))
+        assert run_cli(["fit", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 3
+        assert (f"its largest value {largest:g} is below 0.02"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "fit.json").exists()
+
+
+def test_fit_that_determines_nothing_exits_3(tmp_path, capsys):
+    # one point at 0.5, 5 MHz from every resonance, clears the peak height
+    # but determines none of the parameters: the fit converges, with the
+    # stderr of dx 5e7 times its value
+    detunings = np.linspace(5000.0, 5400.0, 40)
+    data = tmp_path / "far.csv"
     data.write_text("detuning_khz,p\n" + "".join(
-        f"{d:.12g},0\n" for d in detunings))
+        f"{d:.12g},{0.5 if i == 0 else 0}\n"
+        for i, d in enumerate(detunings)))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"fit": dict(TINY_FIT, input_csv=str(data))}))
     assert run_cli(["fit", "--config", str(cfg),
@@ -573,8 +598,8 @@ def test_zero_q_cutoff_exits_3_in_every_command(tmp_path, capsys, command):
 
 def test_band_cache_counts_of_the_three_angle_fit(tmp_path):
     # the noiseless three-angle spectrum (n_max 13, k 16, two nodes, 120
-    # detunings) and the fit of its first column (8 objective calls and 8
-    # Jacobians at scipy's default tolerances); how spectra are stored
+    # detunings) and the fit of its first column (5 objective calls and 5
+    # Jacobians, to the EDM stop); how spectra are stored
     # changes neither the cache's keys nor its hits and misses
     from mwlattice import bands
     window = {"pulse_fwhm_us": 100.0, "thermal_samples": 2,
@@ -598,7 +623,7 @@ def test_band_cache_counts_of_the_three_angle_fit(tmp_path):
                         "--out", str(tmp_path)]) == 0
         info = bands._cached_bands.cache_info()
         counts.append((info.hits, info.misses, info.currsize))
-    assert counts == [(4, 8, 8), (80, 80, 64)]
+    assert counts == [(4, 8, 8), (50, 50, 50)]
 
 
 @pytest.mark.parametrize("time_step_s, atoms", [(None, 50), (None, 0),
@@ -649,6 +674,7 @@ def test_stacked_angles_write_the_per_angle_spectra(tmp_path, time_step_s,
 def test_fit_reports_diagnostics(tmp_path):
     # a noiseless spectrum at a small solver size, fitted twice: fit.json
     # carries the optimizer's diagnostics and is byte-identical
+    from mwlattice.spectroscopy import FIT_EDM
     fit_keys = {"n_max": 5, "k_points": 8, "thermal_samples": 1,
                 "time_step_s": 1e-6, "pulse_fwhm_us": 30.0}
     spec = tmp_path / "spec.json"
@@ -672,9 +698,12 @@ def test_fit_reports_diagnostics(tmp_path):
     assert runs[0] == runs[1]
     results = json.loads(runs[0])["results"]
     diag = results["diagnostics"]
-    assert set(diag) == {"nfev", "njev", "status", "chi2_dof", "cond_jtj"}
+    assert set(diag) == {"nfev", "njev", "status", "chi2_dof", "cond_jtj",
+                         "edm"}
     assert diag["nfev"] >= 1 and diag["njev"] >= 1
-    assert diag["status"] in (1, 2, 3, 4)
+    assert diag["status"] in (-2, 1, 2, 3, 4)
+    assert diag["edm"] >= 0.0
+    assert diag["status"] != -2 or diag["edm"] < FIT_EDM
     assert diag["chi2_dof"] == pytest.approx(2 * results["cost"] / (40 - 4),
                                              rel=1e-12)
     assert 1.0 <= diag["cond_jtj"] < 1e12

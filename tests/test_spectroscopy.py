@@ -790,7 +790,8 @@ def test_noiseless_fit_reports_unscaled_covariance():
     fit = fit_spectrum(*args)
     residuals, _, _, lower, scale = _fit_problem(*args)
     z = np.array([fit.params[k] for k in FIT_NAMES]) / scale
-    jac = approx_derivative(residuals, z, method="2-point", rel_step=1e-4,
+    jac = approx_derivative(residuals, z, method="2-point",
+                            rel_step=spectroscopy.DIFF_STEP,
                             bounds=(lower, np.inf))
     want = scale * np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)))
     assert fit.cost < 1e-12
@@ -798,18 +799,9 @@ def test_noiseless_fit_reports_unscaled_covariance():
     assert np.allclose(got, want, rtol=1e-4, atol=0.0)
 
 
-@pytest.mark.parametrize("atoms", [0, 200])
-def test_default_tolerances_stop_within_a_thousandth_of_a_stderr(atoms):
-    # fit_spectrum stops at scipy's default xtol = ftol = gtol = 1e-8; the
-    # same problem run to 1e-12 moves no parameter by 1e-3 of its stderr,
-    # on the noiseless spectrum and on one with binomial noise
-    args, _ = small_fit_problem(12e-6)
-    detunings, observed, sigma = args[:3]
-    if atoms:
-        rng = np.random.default_rng(21)
-        counts = rng.binomial(atoms, np.clip(observed, 0.0, 1.0))
-        observed, sigma = counts / atoms, binomial_sigma(counts, atoms)
-        args = (detunings, observed, sigma) + args[3:]
+def assert_stops_within_a_thousandth_of_a_stderr(args):
+    """fit_spectrum's point is within 1e-3 stderr of the same problem run
+    to scipy tolerances of 1e-12, in no more objective calls."""
     fit = fit_spectrum(*args)
     residuals, stacked, z0, lower, scale = _fit_problem(*args)
     tight = least_squares(residuals, z0, diff_step=spectroscopy.DIFF_STEP,
@@ -819,6 +811,97 @@ def test_default_tolerances_stop_within_a_thousandth_of_a_stderr(atoms):
     assert fit.diagnostics["nfev"] <= tight.nfev
     for name, want in zip(FIT_NAMES, tight.x * scale):
         assert abs(fit.params[name] - want) <= 1e-3 * fit.stderr[name]
+
+
+@pytest.mark.parametrize("atoms", [0, 200])
+def test_default_tolerances_stop_within_a_thousandth_of_a_stderr(atoms):
+    # fit_spectrum stops at the EDM test or scipy's default xtol = ftol =
+    # gtol = 1e-8; the same problem run to 1e-12 moves no parameter by 1e-3
+    # of its stderr, on the noiseless spectrum and on one with binomial noise
+    args, _ = small_fit_problem(12e-6)
+    detunings, observed, sigma = args[:3]
+    if atoms:
+        rng = np.random.default_rng(21)
+        counts = rng.binomial(atoms, np.clip(observed, 0.0, 1.0))
+        observed, sigma = counts / atoms, binomial_sigma(counts, atoms)
+        args = (detunings, observed, sigma) + args[3:]
+    assert_stops_within_a_thousandth_of_a_stderr(args)
+
+
+def test_a_guess_ten_percent_off_stops_within_a_thousandth_of_a_stderr():
+    # the EDM is that of the Gauss-Newton step, not of the trust-region
+    # step taken, so a short step far from the minimum does not stop it
+    args, truth = small_fit_problem(12e-6)
+    guess = {name: 1.1 * value for name, value in truth.items()}
+    assert_stops_within_a_thousandth_of_a_stderr(args[:3] + (guess,)
+                                                 + args[4:])
+
+
+def test_edm_of_a_linear_model_is_its_cost_above_the_minimum():
+    # r(z) = A z - b: the Gauss-Newton step lands on the minimum
+    rng = np.random.default_rng(29)
+    a, b = rng.normal(size=(30, 4)), rng.normal(size=30)
+    best = np.linalg.lstsq(a, b, rcond=None)[0]
+
+    def cost(z):
+        return 0.5 * float(np.sum((a @ z - b) ** 2))
+
+    for z in rng.normal(size=(5, 4)):
+        assert spectroscopy._edm(a, a @ z - b) == pytest.approx(
+            cost(z) - cost(best), rel=1e-12, abs=0.0)
+
+
+def test_edm_stop_rebuilds_the_jacobian_of_scipy(monkeypatch):
+    # the EDM test runs on the Jacobian that scipy evaluated at the iterate,
+    # rebuilt from the workers map: at the stop it is res.jac, bit for bit
+    calls = []
+    edm = spectroscopy._edm
+
+    def recording(jac, residuals):
+        calls.append((jac, residuals))
+        return edm(jac, residuals)
+
+    monkeypatch.setattr(spectroscopy, "_edm", recording)
+    args, _ = small_fit_problem(12e-6)
+    fit = fit_spectrum(*args)
+    assert fit.success and fit.diagnostics["status"] == -2
+    assert "FIT_EDM" in fit.message
+    (rebuilt, f_stop), (final, f_final) = calls[-2:]   # the stop, the result
+    assert np.array_equal(rebuilt, final) and np.array_equal(f_stop, f_final)
+    assert fit.diagnostics["edm"] < spectroscopy.FIT_EDM
+
+
+def test_two_point_columns_match_central_differences_at_the_bench_point():
+    # the benchmark's fit at its start: scipy's '2-point' Jacobian at
+    # DIFF_STEP agrees with 3-point central differences at relative step
+    # 1e-4 to 1e-3 of each column's largest entry (at the former 1e-4 the
+    # w_down column was off by 1.6e-2)
+    cfg = SpectroscopyConfig(n_max=13, k_points=16, thermal_samples=2,
+                             dt=3e-7)
+    pulse = gaussian_pi_pulse(100e-6)
+    detunings = 2 * math.pi * 1e3 * np.linspace(-1384.1, -135.8, 120)
+    observed = simulate_spectrum(LatticeGeometry(865.95, 850.0, 1.3167), ATOM,
+                                 pulse, detunings, t2d=10e-6,
+                                 cfg=cfg).transfer
+    sigma = binomial_sigma(np.round(observed * 200), 200)
+    guess = {"dx": 0.41, "w_down": 650.0, "du_tot": -99.0, "t2d": 1.01e-5}
+    residuals, stacked, z0, lower, _ = _fit_problem(
+        detunings, observed, sigma, guess, 850.0, ATOM, 865.95, pulse, cfg)
+    kwargs = dict(bounds=(lower, np.inf), workers=stacked)
+    two = approx_derivative(residuals, z0, method="2-point",
+                            rel_step=spectroscopy.DIFF_STEP, **kwargs)
+    three = approx_derivative(residuals, z0, method="3-point", rel_step=1e-4,
+                              **kwargs)
+    error = np.abs(two - three).max(axis=0) / np.abs(three).max(axis=0)
+    assert np.all(error <= 1e-3)
+
+
+@pytest.mark.parametrize("t2d", [12e-6, 2e-9])
+def test_fit_scales_nonzero_guesses_to_unit_magnitude(t2d):
+    # each parameter's scale floor is in its own unit: a t2d of nanokelvin
+    # scales to 1, as the lengths and depths do
+    args, _ = small_fit_problem(t2d)
+    assert np.array_equal(_fit_problem(*args)[2], [1.0, 1.0, -1.0, 1.0])
 
 
 def test_system_from_potentials_puts_both_spins_on_one_cutoff(monkeypatch):
